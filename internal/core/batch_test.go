@@ -34,9 +34,11 @@ func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint6
 	return rows, stats
 }
 
-// batchMechs builds the deterministic and randomized mechanisms the
-// batch-identity matrix runs over, both on a frozen model so the batched
-// hot path (scan table, fused sampling, arena) is what executes.
+// batchMechs builds the mechanisms the batch-identity matrix runs over, all
+// on frozen models so the batched hot path (sorted seed table, fused
+// sampling, arena) is what executes: a deterministic one whose cap selects
+// the per-record walk, and two uncapped randomized ones whose test counts
+// exactly, the second at paper parameters.
 func batchMechs(t *testing.T) map[string]*Mechanism {
 	t.Helper()
 	model := benchModel(t, 21)
@@ -48,7 +50,7 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 		t.Fatal(err)
 	}
 	seeds := tinySeeds(t, model, 300, 22)
-	out := make(map[string]*Mechanism)
+	out := map[string]*Mechanism{"paper": paperMech(t)}
 	for name, tc := range map[string]TestConfig{
 		"deterministic": {K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64},
 		"randomized":    {K: 5, Gamma: 3, Randomized: true, Eps0: 0.8, MaxPlausible: 12},
@@ -62,10 +64,40 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 	return out
 }
 
+// paperMech is an uncapped mechanism at the §6.1 test parameters (k = 50,
+// γ = 4, randomized with ε₀ = 1, ω ∈ [5, 11]) over 2,400 seeds on a frozen
+// model, so its privacy test takes the exact-count path.
+func paperMech(t testing.TB) *Mechanism {
+	t.Helper()
+	model := benchModel(t, 21)
+	if err := model.Freeze(0); err != nil {
+		t.Fatal(err)
+	}
+	syn, err := NewSeedSynthesizer(model, 5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mech, err := NewMechanism(syn, tinySeeds(t, model, 2400, 23), TestConfig{K: 50, Gamma: 4, Randomized: true, Eps0: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mech
+}
+
+// walks reports whether the mechanism's privacy test walks the seeds (a
+// MaxCheckPlausible cap below |D|) rather than counting them exactly; only
+// then does the hot path report Checked.
+func walks(m *Mechanism) bool {
+	c := m.Test.MaxCheckPlausible
+	return c > 0 && c < m.Seeds.Len()
+}
+
 // TestBatchedGenerateByteIdentical is the batching half of the determinism
 // suite: for every worker count × batch size combination, the batched
 // kernel must release the byte-identical record sequence and the identical
-// statistics of the explicit per-candidate reference loop.
+// statistics of the explicit per-candidate reference loop. The reference
+// always walks, so CheckedTotal is compared only where the kernel walks
+// too; an exact count reads no seed one at a time and reports 0.
 func TestBatchedGenerateByteIdentical(t *testing.T) {
 	const candidates = 800
 	const seed = 99
@@ -96,9 +128,13 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 							}
 						}
 					}
-					if stats.Released != wantStats.Released || stats.Candidates != wantStats.Candidates ||
-						stats.SeedRejected != wantStats.SeedRejected || stats.CheckedTotal != wantStats.CheckedTotal {
-						t.Fatalf("%s: stats %+v, want %+v", tag, stats, wantStats)
+					want := wantStats
+					if !walks(mech) {
+						want.CheckedTotal = 0
+					}
+					if stats.Released != want.Released || stats.Candidates != want.Candidates ||
+						stats.SeedRejected != want.SeedRejected || stats.CheckedTotal != want.CheckedTotal {
+						t.Fatalf("%s: stats %+v, want %+v", tag, stats, want)
 					}
 				}
 			}
@@ -106,48 +142,56 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFastTestMatchesRunTest pins the fast privacy-test kernel, shape by
-// shape, against the reference RunTest path on identical RNG streams: the
-// flat interval scan, the mask-walk fallback (flat table removed), and the
-// gcd-walk fallback (no scan table at all) must produce identical results
-// and identical RNG consumption for every candidate.
+// TestFastTestMatchesRunTest pins the fast privacy-test kernel against the
+// reference RunTest path on identical RNG streams, candidate by candidate:
+// the capped walk and the exact count (on a small seed set and at paper
+// parameters) must produce identical records, decisions, counts and
+// thresholds, and consume identical RNG state. Checked matches where the
+// kernel walks and is 0 where it counts exactly.
 func TestFastTestMatchesRunTest(t *testing.T) {
 	for name, mech := range batchMechs(t) {
 		t.Run(name, func(t *testing.T) {
 			hs := mech.Synth.(hotSynthesizer)
-			full := mech.ensureScan()
-			if full == nil || full.flat == nil {
-				t.Fatal("expected a flat scan table for the seed synthesizer")
+			st := mech.ensureScan()
+			if st == nil {
+				t.Fatal("expected a sorted seed table for the seed synthesizer")
 			}
-			noFlat := *full
-			noFlat.flat = nil
 			pre, err := newTestPre(mech)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tables := map[string]*ScanTable{"flat": full, "mask": &noFlat, "none": nil}
-			for tname, st := range tables {
-				sc := newGenScratch(len(mech.Seeds.Meta.Attrs))
-				rFast, rRef := rng.New(0), rng.New(0)
-				for i := uint64(0); i < 500; i++ {
-					rFast.ReseedStream(7, i)
-					rRef.ReseedStream(7, i)
-					y, res, ok := mech.onceFast(hs, sc, st, &pre, rFast)
-					wantY, wantRes, wantOK := mech.Once(rRef)
-					if ok != wantOK || res != wantRes {
-						t.Fatalf("%s candidate %d: result %+v (ok=%v), want %+v (ok=%v)",
-							tname, i, res, ok, wantRes, wantOK)
+			sc := newGenScratch(len(mech.Seeds.Meta.Attrs))
+			rFast, rRef := rng.New(0), rng.New(0)
+			passes := 0
+			for i := uint64(0); i < 500; i++ {
+				rFast.ReseedStream(7, i)
+				rRef.ReseedStream(7, i)
+				y, res, ok := mech.onceFast(hs, sc, st, &pre, rFast)
+				wantY, wantRes, wantOK := mech.Once(rRef)
+				if !walks(mech) {
+					if res.Checked != 0 {
+						t.Fatalf("candidate %d: exact count reported Checked = %d", i, res.Checked)
 					}
-					for j := range wantY {
-						if y[j] != wantY[j] {
-							t.Fatalf("%s candidate %d: attr %d = %d, want %d", tname, i, j, y[j], wantY[j])
-						}
-					}
-					// Both paths must have consumed the same stream.
-					if g, w := rFast.Uint64(), rRef.Uint64(); g != w {
-						t.Fatalf("%s candidate %d: RNG streams diverged after the test", tname, i)
+					wantRes.Checked = 0
+				}
+				if ok != wantOK || res != wantRes {
+					t.Fatalf("candidate %d: result %+v (ok=%v), want %+v (ok=%v)", i, res, ok, wantRes, wantOK)
+				}
+				for j := range wantY {
+					if y[j] != wantY[j] {
+						t.Fatalf("candidate %d: attr %d = %d, want %d", i, j, y[j], wantY[j])
 					}
 				}
+				// Both paths must have consumed the same stream.
+				if g, w := rFast.Uint64(), rRef.Uint64(); g != w {
+					t.Fatalf("candidate %d: RNG streams diverged after the test", i)
+				}
+				if ok {
+					passes++
+				}
+			}
+			if passes == 0 {
+				t.Fatal("no candidate passed; the comparison would be one-sided")
 			}
 		})
 	}

@@ -26,7 +26,7 @@ type Mechanism struct {
 	// Test configures the plausible-deniability test applied to every
 	// candidate before release.
 	Test TestConfig
-	// Scan optionally holds the precomputed privacy-test scan layout for
+	// Scan optionally holds the privacy test's sorted seed table for
 	// (Synth, Seeds). Serving layers that run many mechanisms over one
 	// fitted model set it to a shared ScanTable (see sgf.FittedModel); when
 	// nil, generation builds it lazily on the first run.
@@ -90,13 +90,14 @@ func newGenScratch(numAttrs int) *genScratch {
 // onceFast is Once through the allocation-free hot path: the candidate is
 // generated into sc.rec (the returned record ALIASES sc.rec — copy it to
 // keep it past the next iteration) and the privacy test runs on reused
-// prober state against the precomputed scan layout. It consumes exactly
-// the RNG state Once would, and returns exactly the same values.
+// prober state against the sorted seed table. It consumes exactly the RNG
+// state Once would, and returns the same record and the same test result
+// apart from Checked (see TestResult).
 func (m *Mechanism) onceFast(hs hotSynthesizer, sc *genScratch, st *ScanTable, pre *testPre, r *rng.RNG) (dataset.Record, TestResult, bool) {
 	seed := m.Seeds.Row(r.Intn(pre.n))
 	hs.generateInto(sc.rec, seed, r)
 	hs.proberInit(sc.rec, &sc.ps)
-	res := runTestFast(&sc.ps, st, pre, m.Seeds, seed, r)
+	res := runTestFast(&sc.ps, st, pre, seed, r)
 	return sc.rec, res, res.Pass
 }
 
@@ -149,7 +150,9 @@ type GenStats struct {
 	// probability (cannot happen with seed-based synthesis; tracked for
 	// generality).
 	SeedRejected int
-	// CheckedTotal is the total number of plausible-seed examinations.
+	// CheckedTotal sums TestResult.Checked: the seed records the privacy
+	// test's walk read one at a time. It is 0 for runs whose test counts
+	// exactly (no MaxCheckPlausible cap in (0, |D|)) on the hot path.
 	CheckedTotal int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration

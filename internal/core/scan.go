@@ -3,136 +3,223 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
 )
 
-// The privacy test's plausible-seed scan is the hot path's hot path: for
-// every candidate it walks input records in a pseudo-random cyclic order
-// and asks each one "could you have been the seed?". This file holds the
-// batched kernel's scan machinery: a struct-of-arrays mirror of the seed
-// dataset (records re-laid in σ order as one flat row-major array, so the
-// per-record check is a handful of contiguous uint16 compares instead of a
-// pointer chase through record slices and the order permutation), a
-// precomputed coprime-stride mask replacing the per-candidate gcd walk, and
-// the scan loop itself, which tests each record against a precomputed
-// σ-agreement threshold instead of calling PartitionIndex or even touching
-// a float. Decisions, counters and RNG consumption are bit-identical to the
-// per-record path — pinned by the batch-identity and property suites.
+// The privacy test's plausible-seed count is the hot path's hot path. For
+// the seed synthesizer, Pr{y = M(d)} depends on a seed d only through its
+// agreement bucket with the candidate y (see proberState.agreeBucket): the
+// length of the σ-prefix d shares with y, clamped to [loIdx, hiIdx]. With
+// the seeds sorted lexicographically in σ order, the A_j seeds sharing y's
+// first j σ-values form one contiguous row range, which two binary searches
+// per σ-column narrow down. Bucket j < hiIdx holds A_j − A_{j+1} seeds and
+// bucket hiIdx holds A_hiIdx, so the test's count is the sum of the buckets
+// the partition memo matches: exact, in O(m log n) per candidate instead of
+// a walk over all n seeds.
+//
+// Only a capped test (MaxCheckPlausible in (0, n)) still walks the seeds:
+// which seeds a truncated walk visits is observable in its count, so it
+// follows the reference path's pseudo-random cyclic order. It looks each
+// seed up in the same sorted table through rank and decides it by the
+// prefix range its sorted row falls in, without reading the row.
 
-// maxScanTableElems caps the flat mirror's size (uint16 elements). Above
-// it, only the stride mask is built and the scan falls back to the
-// per-record evaluator.
-const maxScanTableElems = 1 << 27
-
-// ScanTable is an immutable, shareable scan layout for one (seed dataset,
-// σ order) pair: the flat struct-of-arrays mirror plus the coprime-stride
-// mask. Building one costs O(n·m); serving layers cache it per fitted
-// model (see sgf.FittedModel) and attach it to each Mechanism via the Scan
-// field so per-request runs skip the rebuild. A nil ScanTable is always
-// safe — the scan falls back to the per-record path.
+// ScanTable is an immutable, shareable index of one (seed dataset, σ order)
+// pair: the seeds re-laid in σ order and sorted. Building one costs
+// O(n·m); serving layers cache it per fitted model (see
+// sgf.FittedModel) and attach it to each Mechanism via the Scan field so
+// per-request runs skip the rebuild.
 type ScanTable struct {
 	n, width int
-	// flat holds the dataset re-laid row-major in σ order: row i occupies
-	// flat[i*width : (i+1)*width] with position k holding record i's value
-	// of attribute order[k]. nil when the mirror would exceed
-	// maxScanTableElems.
-	flat []uint16
-	// mask is a bitset over [0, n): bit s is set iff gcd(s, n) == 1, so the
-	// cyclic scan's stride walk needs one bit test per step instead of a
-	// gcd loop.
-	mask []uint64
+	// rows holds the seeds sorted lexicographically in σ order: sorted row
+	// s occupies rows[s*width : (s+1)*width], position k holding that
+	// seed's value of attribute order[k].
+	rows []uint16
+	// rank maps a seed's index in the dataset to its sorted row.
+	rank []int32
 }
 
-// NewScanTable builds the scan layout for the dataset under the given
+// NewScanTable builds the sorted seed table for the dataset under the given
 // attribute order (the synthesizer's σ). The dataset and order are read
 // once and not retained.
 func NewScanTable(data *dataset.Dataset, order []int) *ScanTable {
 	n, m := data.Len(), len(order)
-	t := &ScanTable{n: n, width: m, mask: coprimeMask(n)}
-	if int64(n)*int64(m) <= maxScanTableElems {
-		flat := make([]uint16, n*m)
-		for i := 0; i < n; i++ {
-			row := data.Row(i)
-			base := i * m
-			for k, attr := range order {
-				flat[base+k] = row[attr]
-			}
+	// cols holds the seeds column by column in σ order — σ-position k at
+	// cols[k*n : (k+1)*n] — so each radix pass below reads one small
+	// column; card[k] bounds the values at σ-position k.
+	cols, card := make([]uint16, m*n), make([]int, m)
+	for i := 0; i < n; i++ {
+		row := data.Row(i)
+		for k, attr := range order {
+			cols[k*n+i] = row[attr]
+			card[k] = max(card[k], int(row[attr])+1)
 		}
-		t.flat = flat
+	}
+	// LSD radix sort: stable counting sorts by σ-position, last to first,
+	// leave idx in lexicographic σ order.
+	perm := make([]int32, 2*n)
+	idx, tmp := perm[:n], perm[n:]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	starts := make([]int, slices.Max(card)+1)
+	for k := m - 1; k >= 0; k-- {
+		col, at := cols[k*n:(k+1)*n], starts[:card[k]+1]
+		clear(at)
+		for _, v := range col {
+			at[v+1]++
+		}
+		for v := 1; v < len(at); v++ {
+			at[v] += at[v-1]
+		}
+		for _, i := range idx {
+			v := col[i]
+			tmp[at[v]] = i
+			at[v]++
+		}
+		idx, tmp = tmp, idx
+	}
+	t := &ScanTable{n: n, width: m, rows: make([]uint16, n*m), rank: make([]int32, n)}
+	for s, i := range idx {
+		for k := range order {
+			t.rows[s*m+k] = cols[k*n+int(i)]
+		}
+		t.rank[i] = int32(s)
 	}
 	return t
 }
 
 // scanOrdered is implemented by synthesizers whose probers compare seeds
 // against a candidate along a fixed attribute order — the precondition for
-// the struct-of-arrays scan.
+// the sorted seed table.
 type scanOrdered interface {
 	scanOrder() []int
 }
 
-// ScanTableFor builds the scan layout for a synthesizer over its seed
+// ScanTableFor builds the sorted seed table for a synthesizer over its seed
 // dataset, or returns nil when the synthesizer has no fixed scan order
-// (e.g. the constant-prober marginal baseline, which needs none: its scan
+// (e.g. the constant-prober marginal baseline, which needs none: its count
 // is computed analytically).
 func ScanTableFor(syn Synthesizer, seeds *dataset.Dataset) *ScanTable {
 	so, ok := syn.(scanOrdered)
 	if !ok {
 		return nil
 	}
-	order := so.scanOrder()
-	if len(order) != seeds.NumAttrs() {
-		return nil
-	}
-	return NewScanTable(seeds, order)
+	return NewScanTable(seeds, so.scanOrder())
 }
 
-// coprimeMask returns the bitset of s in [0, n) with gcd(s, n) == 1,
-// built by clearing multiples of each prime factor of n.
-func coprimeMask(n int) []uint64 {
-	if n <= 0 {
-		return nil
-	}
-	mask := make([]uint64, (n+63)/64)
-	for i := range mask {
-		mask[i] = ^uint64(0)
-	}
-	clearMultiples := func(p int) {
-		for s := 0; s < n; s += p {
-			mask[s>>6] &^= 1 << (uint(s) & 63)
+// countPlausible returns the exact number of seeds whose agreement bucket
+// with the prober's candidate the partition memo matches.
+func (t *ScanTable) countPlausible(ps *proberState) int {
+	top := ps.decisive()
+	r := t.prefixRanges(ps, top)
+	total, shared := 0, t.n
+	for j := 0; j < top; j++ {
+		// Of the A_j seeds sharing y's first j σ-values, those not sharing
+		// the next one agree on exactly j, i.e. fall in bucket j.
+		if ps.match[j] {
+			total += shared - r[2*j+1]
 		}
+		shared = r[2*j+1]
 	}
-	rem := n
-	for p := 2; p*p <= rem; p++ {
-		if rem%p == 0 {
-			clearMultiples(p)
-			for rem%p == 0 {
-				rem /= p
-			}
-		}
+	// The A_top seeds left all fall in buckets [top, hiIdx], which the memo
+	// treats alike.
+	if ps.match[top] {
+		total += shared
 	}
-	if rem > 1 {
-		clearMultiples(rem)
-	}
-	return mask
+	return total
 }
 
-// coprime reports whether bit s is set in the mask.
-func (t *ScanTable) coprime(s int) bool {
-	return t.mask[s>>6]>>(uint(s)&63)&1 == 1
+// prefixRanges fills ps.ranges with the sorted rows holding the seeds that
+// share y's first j σ-values, as (first row, row count) pairs for j = 1 …
+// top. The rows sharing j values are sorted by σ-position j, so each range
+// narrows the previous one by two binary searches.
+func (t *ScanTable) prefixRanges(ps *proberState, top int) []int {
+	if cap(ps.ranges) < 2*top {
+		ps.ranges = make([]int, 0, 2*ps.hiIdx)
+	}
+	r := ps.ranges[:0]
+	lo, hi := 0, t.n
+	for j := 0; j < top; j++ {
+		if lo < hi {
+			lo, hi = t.narrow(j, ps.y[ps.order[j]], lo, hi)
+		}
+		r = append(r, lo, hi-lo)
+	}
+	ps.ranges = r
+	return r
 }
 
-// strideFrom resolves the scan stride exactly as the gcd walk does: step
-// forward (wrapping past n to 1) until a stride coprime with n is found.
-func (t *ScanTable) strideFrom(s, n int) int {
-	for !t.coprime(s) {
-		s++
-		if s >= n {
-			s = 1
+// narrow returns the part of the sorted row range [lo, hi) whose σ-position
+// k holds v, where [lo, hi) shares its first k σ-values.
+func (t *ScanTable) narrow(k int, v uint16, lo, hi int) (int, int) {
+	col, w := t.rows[k:], t.width
+	first := lo
+	for b := hi; first < b; {
+		mid := int(uint(first+b) >> 1)
+		if col[mid*w] < v {
+			first = mid + 1
+		} else {
+			b = mid
 		}
 	}
-	return s
+	end := first
+	for b := hi; end < b; {
+		mid := int(uint(end+b) >> 1)
+		if col[mid*w] <= v {
+			end = mid + 1
+		} else {
+			b = mid
+		}
+	}
+	return first, end
+}
+
+// walk is the capped test's per-record walk: it visits up to maxCheck seeds
+// in RunTest's cyclic order (start, start+stride, … mod n) and stops at
+// breakAt plausible ones. A seed's verdict follows from its sorted row,
+// looked up through rank: going down the nested prefix ranges, the verdict
+// starts at match[0] and flips at every range where the memo changes, so
+// it is match[0] XOR the parity of the flipping ranges holding the row.
+func (t *ScanTable) walk(ps *proberState, maxCheck, breakAt, start, stride int) (checked, count int) {
+	top := ps.decisive()
+	r := t.prefixRanges(ps, top)
+	flips := r[:0]
+	for j := 0; j < top; j++ {
+		if ps.match[j] != ps.match[j+1] {
+			flips = append(flips, r[2*j], r[2*j+1])
+		}
+	}
+	// Most memos flip once; that range is tested inline, any others in the
+	// loop below it. With no flip, the empty range (0, 0) holds no row.
+	var lo, size uint
+	if len(flips) > 0 {
+		lo, size, flips = uint(flips[0]), uint(flips[1]), flips[2:]
+	}
+	v0, rank, n := ps.match[0], t.rank, t.n
+	// The countdowns keep the loop's live values few enough for registers.
+	left, need := maxCheck, breakAt
+	for idx := start; left > 0; {
+		left--
+		s := uint(rank[idx])
+		v := v0 != (s-lo < size)
+		for k := 1; k < len(flips); k += 2 {
+			v = v != (s-uint(flips[k-1]) < uint(flips[k]))
+		}
+		if v {
+			need--
+		}
+		if need == 0 {
+			break
+		}
+		idx += stride
+		if idx >= n {
+			idx -= n
+		}
+	}
+	return maxCheck - left, breakAt - need
 }
 
 // testPre is the per-run precomputation of the privacy test: parameters
@@ -144,7 +231,7 @@ type testPre struct {
 }
 
 // newTestPre validates the mechanism's test configuration and resolves the
-// scan limits for its seed dataset.
+// count limits for its seed dataset.
 func newTestPre(m *Mechanism) (testPre, error) {
 	if err := m.Test.Validate(); err != nil {
 		return testPre{}, err
@@ -172,37 +259,34 @@ func newTestPre(m *Mechanism) (testPre, error) {
 }
 
 // runTestFast is the batched kernel's privacy test: identical RNG
-// consumption, decisions and counters as RunTest over the same prober
-// state, with the per-record work reduced to integer compares. The seed's
-// partition and threshold are computed as before; the per-bucket partition
-// memo is folded into a σ-agreement interval (see initPartitions), so the
-// scan needs no floats at all. Three scan shapes:
+// consumption, decisions, PlausibleCount and Threshold as RunTest over the
+// same prober state. The seed's partition and threshold are computed as in
+// RunTest and the partition is memoized per agreement bucket (see
+// initPartitions), so no seed needs a float. Three shapes:
 //
-//   - constant prober: every record matches or none does — the walk is
-//     computed analytically in O(1) (it consumes no RNG).
-//   - interval + flat table: records are tested with contiguous uint16
-//     compares against the candidate's σ-prefix.
-//   - fallback: the per-record evaluator, for oversized tables or a
-//     non-contiguous partition memo.
-func runTestFast(ps *proberState, st *ScanTable, pre *testPre, data *dataset.Dataset, seed dataset.Record, r *rng.RNG) TestResult {
-	res := TestResult{SeedProb: ps.proberEval(seed)}
+//   - constant prober: every seed matches or none does — the count is
+//     computed analytically in O(1).
+//   - capped (MaxCheckPlausible in (0, n)): the per-record walk over the
+//     sorted table, in RunTest's visit order.
+//   - uncapped: the exact bucket count; Checked stays 0.
+//
+// An uncapped walk visits every seed unless it stops at breakAt matches,
+// so its count is min(total, breakAt) whatever the visit order.
+func runTestFast(ps *proberState, st *ScanTable, pre *testPre, seed dataset.Record, r *rng.RNG) TestResult {
+	res := TestResult{SeedProb: ps.proberEval(seed), Threshold: float64(pre.k)}
 
 	part, ok := partitionIndexLog(res.SeedProb, pre.logGamma)
 	if !ok {
-		res.Threshold = float64(pre.k)
 		return res
 	}
 	res.Partition = part
-
-	res.Threshold = float64(pre.k)
 	if pre.randomized {
 		res.Threshold += r.Laplace(1 / pre.eps0)
 	}
 
 	ps.initPartitions(part, pre.logGamma)
 
-	n, maxCheck := pre.n, pre.maxCheck
-	// breakAt is the integer form of the loop's two exit conditions: the
+	// breakAt is the integer form of the walk's two exit conditions: the
 	// count is an int, so count ≥ threshold ⟺ count ≥ ⌈threshold⌉. The
 	// threshold is clamped before the ceil so an extreme Laplace draw can
 	// not overflow the conversion; a threshold below 1 exits on the first
@@ -216,144 +300,37 @@ func runTestFast(ps *proberState, st *ScanTable, pre *testPre, data *dataset.Dat
 		}
 	}
 
-	// The cyclic-walk draws happen unconditionally, in the exact order of
-	// the per-record path; the stride's coprime resolution consumes no RNG,
-	// so scan shapes that never walk skip it.
+	// The cyclic walk's draws happen unconditionally, in the exact order of
+	// the reference path; resolving the stride consumes no RNG, so only the
+	// walk does it.
+	n, maxCheck := pre.n, pre.maxCheck
 	start := r.Intn(n)
-	s0 := 1
+	stride := 1
 	if n > 2 {
-		s0 = 1 + r.Intn(n-1)
+		stride = 1 + r.Intn(n-1)
 	}
 
+	capped := maxCheck < n
 	switch {
 	case ps.constP >= 0:
-		// Constant prober: the walk visits records whose content never
-		// matters. Replaying it analytically: every visit checks one
-		// record, a match increments the count, and the loop stops at
-		// breakAt matches or maxCheck visits.
+		// Constant prober: replaying the walk analytically, every visit
+		// checks one seed, a match increments the count, and the walk stops
+		// at breakAt matches or maxCheck visits.
 		if ps.constMatch {
-			c := breakAt
-			if c > maxCheck {
-				c = maxCheck
-			}
-			res.Checked, res.PlausibleCount = c, c
-		} else {
+			res.PlausibleCount = min(breakAt, maxCheck)
+		}
+		if capped {
 			res.Checked = maxCheck
+			if ps.constMatch {
+				res.Checked = res.PlausibleCount
+			}
 		}
-	case st != nil && st.flat != nil && ps.ivOK:
-		stride := 1
-		if n > 2 {
-			stride = st.strideFrom(s0, n)
-		}
-		res.Checked, res.PlausibleCount = scanFlat(st, ps, n, maxCheck, breakAt, start, stride)
+	case capped:
+		res.Checked, res.PlausibleCount = st.walk(ps, maxCheck, breakAt, start, coprimeStride(stride, n))
 	default:
-		stride := 1
-		if n > 2 {
-			if st != nil {
-				stride = st.strideFrom(s0, n)
-			} else {
-				stride = s0
-				for gcd(stride, n) != 1 {
-					stride++
-					if stride >= n {
-						stride = 1
-					}
-				}
-			}
-		}
-		idx := start
-		for res.Checked < maxCheck {
-			da := data.Row(idx)
-			res.Checked++
-			if ps.plausibleEval(da) {
-				res.PlausibleCount++
-				if res.PlausibleCount >= breakAt {
-					break
-				}
-			}
-			idx += stride
-			if idx >= n {
-				idx -= n
-			}
-		}
+		res.PlausibleCount = min(st.countPlausible(ps), breakAt)
 	}
 
 	res.Pass = float64(res.PlausibleCount) >= res.Threshold
 	return res
-}
-
-// scanFlat walks the flat σ-ordered mirror in cyclic order. A record is a
-// plausible seed iff its σ-agreement length with the candidate falls in
-// [jLo, jHi] (see initPartitions), which over the flat rows is: the first
-// jLo positions agree, and — when the interval stops short of the top
-// bucket — some position in [jLo, jHi] disagrees.
-func scanFlat(st *ScanTable, ps *proberState, n, maxCheck, breakAt, start, stride int) (checked, count int) {
-	flat, width := st.flat, st.width
-	jLo, jHi := ps.jLo, ps.jHi
-	needUpper := jHi < ps.hiIdx
-	// A record's plausibility is a pure function of its first σ-disagreement
-	// position a with the candidate, capped at stop: plausible ⟺ a ≥ jLo
-	// and — when the interval stops short of the top bucket — a < stop.
-	stop := jHi + 1
-	if !needUpper {
-		stop = jLo
-	}
-	if stop == 0 {
-		// jLo == 0 with the interval reaching the top bucket: every record
-		// matches, and the walk degenerates to the constant-match shape.
-		if breakAt > maxCheck {
-			breakAt = maxCheck
-		}
-		return breakAt, breakAt
-	}
-	yv := ps.yv[:stop]
-	y0 := yv[0]
-	// Walk row offsets directly: one add + wrap per record, no multiply.
-	base := start * width
-	step := stride * width
-	limit := n * width
-	if jLo > 0 {
-		// Records disagreeing at position 0 are implausible, so the common
-		// case is one load-compare-add per record.
-		for checked < maxCheck {
-			checked++
-			if flat[base] == y0 {
-				k := 1
-				for k < stop && flat[base+k] == yv[k] {
-					k++
-				}
-				if k >= jLo && (k < stop || !needUpper) {
-					count++
-					if count >= breakAt {
-						break
-					}
-				}
-			}
-			base += step
-			if base >= limit {
-				base -= limit
-			}
-		}
-		return checked, count
-	}
-	// jLo == 0: stop > 0 forces needUpper, so every record is plausible
-	// unless it agrees with the whole σ-prefix [0, stop).
-	for checked < maxCheck {
-		checked++
-		k := 0
-		for k < stop && flat[base+k] == yv[k] {
-			k++
-		}
-		if k < stop {
-			count++
-			if count >= breakAt {
-				break
-			}
-		}
-		base += step
-		if base >= limit {
-			base -= limit
-		}
-	}
-	return checked, count
 }

@@ -85,7 +85,7 @@ func (s *SeedSynthesizer) generateInto(dst, seed dataset.Record, r *rng.RNG) {
 }
 
 // scanOrder exposes the attribute order the prober compares seeds along,
-// enabling the struct-of-arrays privacy-test scan (see ScanTableFor).
+// which the privacy test's sorted seed table is keyed on (see ScanTableFor).
 func (s *SeedSynthesizer) scanOrder() []int { return s.Model.Struct.Order }
 
 // GenProb returns Pr{y = M(d)} exactly.
@@ -122,20 +122,13 @@ type proberState struct {
 	// probability (the marginal synthesizer's case).
 	constP float64
 	// match memoizes the privacy test's partition comparison per agreement
-	// bucket (see initPartitions): match[j-loIdx] reports whether the
-	// probability weight·cum[j] lies in the seed's partition. constMatch is
-	// the constP analogue.
+	// bucket (see initPartitions): match[j] reports whether the probability
+	// weight·cum[j] lies in the seed's partition, and is false for j below
+	// loIdx, where no seed can fall. constMatch is the constP analogue.
 	match      []bool
 	constMatch bool
-	// ivOK reports that the matching buckets form one contiguous interval
-	// [jLo, jHi] (bucket indices, not offsets), which lets the privacy-test
-	// scan replace per-record partition checks with σ-prefix compares over
-	// the flat scan table: a record is plausible iff its agreement bucket
-	// lies in the interval (see scanFlat). yv caches y's values in σ order
-	// up to jHi for those compares.
-	ivOK     bool
-	jLo, jHi int
-	yv       []uint16
+	// ranges holds the privacy test's prefix ranges (see prefixRanges).
+	ranges []int
 }
 
 // grow returns buf resized to n, reusing its backing array when possible.
@@ -214,7 +207,7 @@ func (ps *proberState) proberEval(d dataset.Record) float64 {
 }
 
 // initPartitions memoizes, for every value the prober can return, whether
-// it lies in partition `part` — the scan of the privacy test then needs no
+// it lies in partition `part` — the privacy test's count then needs no
 // logarithms at all. The memo feeds the exact probability values proberEval
 // would produce through the same PartitionIndex, so the decisions are
 // bit-identical to testing each record individually.
@@ -222,66 +215,33 @@ func (ps *proberState) initPartitions(part int, logGamma float64) {
 	if ps.constP >= 0 {
 		i, ok := partitionIndexLog(ps.constP, logGamma)
 		ps.constMatch = ps.constP > 0 && ok && i == part
-		ps.ivOK = false
 		return
 	}
-	n := ps.hiIdx - ps.loIdx + 1
-	if cap(ps.match) < n {
-		ps.match = make([]bool, n)
-	} else {
-		ps.match = ps.match[:n]
+	if cap(ps.match) < ps.hiIdx+1 {
+		ps.match = make([]bool, ps.hiIdx+1)
 	}
-	for j := 0; j < n; j++ {
-		p := ps.weight * ps.cum[ps.loIdx+j]
-		i, ok := partitionIndexLog(p, logGamma)
-		ps.match[j] = p > 0 && ok && i == part
-	}
-	// Fold the memo into a bucket interval for the flat scan. The bucket
-	// probabilities weight·cum[j] are nondecreasing in j, so the buckets
-	// falling into one γ-partition are expected to be contiguous — but
-	// contiguity is verified rather than assumed (the scan falls back to the
-	// memo when it does not hold), keeping the exact per-bucket
-	// PartitionIndex memo the single source of truth.
-	first, last := -1, -1
-	ps.ivOK = true
-	for j := 0; j < n; j++ {
-		if !ps.match[j] {
-			continue
+	ps.match = ps.match[:ps.hiIdx+1]
+	for j := range ps.match {
+		ps.match[j] = false
+		if j >= ps.loIdx {
+			p := ps.weight * ps.cum[j]
+			i, ok := partitionIndexLog(p, logGamma)
+			ps.match[j] = p > 0 && ok && i == part
 		}
-		if first < 0 {
-			first = j
-		} else if !ps.match[j-1] {
-			ps.ivOK = false
-		}
-		last = j
-	}
-	if first < 0 {
-		ps.ivOK = false
-	}
-	if !ps.ivOK {
-		return
-	}
-	ps.jLo, ps.jHi = ps.loIdx+first, ps.loIdx+last
-	if cap(ps.yv) < ps.jHi+1 {
-		ps.yv = make([]uint16, ps.hiIdx+1)
-	}
-	ps.yv = ps.yv[:ps.jHi+1]
-	for k := 0; k <= ps.jHi; k++ {
-		ps.yv[k] = ps.y[ps.order[k]]
 	}
 }
 
-// plausibleEval reports whether the record is a plausible seed under the
-// partition initPartitions was called with.
-func (ps *proberState) plausibleEval(d dataset.Record) bool {
-	if ps.constP >= 0 {
-		return ps.constMatch
+// decisive returns the σ-prefix length that decides a seed's plausibility
+// under the memo: the smallest j from which the memo stays constant up to
+// hiIdx. A seed agreeing with y on at least j σ-values falls in a bucket
+// the memo treats like bucket j, so comparing further cannot change its
+// verdict.
+func (ps *proberState) decisive() int {
+	top := ps.hiIdx
+	for top > 0 && ps.match[top-1] == ps.match[top] {
+		top--
 	}
-	j := ps.agreeBucket(d)
-	if j < 0 {
-		return false
-	}
-	return ps.match[j-ps.loIdx]
+	return top
 }
 
 // Prober precomputes for the fixed candidate y and returns a closure; the

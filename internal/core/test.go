@@ -53,15 +53,19 @@ type TestConfig struct {
 	Randomized bool
 	// Eps0 is the randomization parameter ε0 (required when Randomized).
 	Eps0 float64
-	// MaxPlausible, when positive, stops counting plausible seeds early
-	// once this many are found (the tool's max_plausible knob, §5). It
-	// trades utility for speed, never privacy. It must be ≥ K to avoid
-	// rejecting every candidate; with the randomized test it should be
-	// comfortably above K (the paper uses 2k) because the noisy threshold
-	// k̃ can exceed K, and counts truncated at MaxPlausible < k̃ fail.
+	// MaxPlausible, when positive, caps the plausible-seed count at this
+	// many (the tool's max_plausible knob, §5). The generation pipeline
+	// counts seeds exactly in O(m log n), so the cap buys no speed there; it
+	// only costs utility, never privacy. It must be ≥ K to avoid rejecting
+	// every candidate; with the randomized test it should be comfortably
+	// above K (the paper uses 2k) because the noisy threshold k̃ can exceed
+	// K, and counts capped at MaxPlausible < k̃ fail.
 	MaxPlausible int
-	// MaxCheckPlausible, when positive, bounds how many records of the
+	// MaxCheckPlausible, when in (0, |D|), bounds how many records of the
 	// input dataset are examined (the tool's max_check_plausible knob, §5).
+	// Which records a truncated count examines is observable, so such a cap
+	// selects the per-record walk, whose cost is linear in the cap; 0 or a
+	// value ≥ |D| selects the exact count.
 	MaxCheckPlausible int
 }
 
@@ -94,7 +98,10 @@ type TestResult struct {
 	// the input dataset whose generation probability falls in the seed's
 	// partition). Early exits can leave this an undercount.
 	PlausibleCount int
-	// Checked is the number of input records examined.
+	// Checked is the number of input records the walk read one at a time.
+	// RunTest always walks; the generation pipeline walks only under a
+	// MaxCheckPlausible cap in (0, |D|) and otherwise counts exactly,
+	// leaving Checked 0.
 	Checked int
 	// Threshold is the value k' was compared against: k for the
 	// deterministic test, or the randomized k̃ for Privacy Test 2.
@@ -155,13 +162,7 @@ func runTestProbe(prob func(d dataset.Record) float64, data *dataset.Dataset, se
 	start := r.Intn(n)
 	stride := 1
 	if n > 2 {
-		stride = 1 + r.Intn(n-1)
-		for gcd(stride, n) != 1 {
-			stride++
-			if stride >= n {
-				stride = 1
-			}
-		}
+		stride = coprimeStride(1+r.Intn(n-1), n)
 	}
 
 	idx := start
@@ -184,6 +185,19 @@ func runTestProbe(prob func(d dataset.Record) float64, data *dataset.Dataset, se
 
 	res.Pass = float64(res.PlausibleCount) >= res.Threshold
 	return res, nil
+}
+
+// coprimeStride resolves a drawn stride to the cyclic walk's: it steps
+// forward (wrapping past n to 1) until the stride is coprime with n, so the
+// walk visits every record exactly once.
+func coprimeStride(s, n int) int {
+	for gcd(s, n) != 1 {
+		s++
+		if s >= n {
+			s = 1
+		}
+	}
+	return s
 }
 
 func gcd(a, b int) int {

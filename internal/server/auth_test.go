@@ -405,21 +405,6 @@ func TestAuthJobScoping(t *testing.T) {
 	}
 }
 
-// pollJobAs polls GET /v1/jobs/{id} with a key until the job finishes.
-func pollJobAs(t *testing.T, ts *httptest.Server, id, key string) jobs.Info {
-	t.Helper()
-	for i := 0; i < 6000; i++ {
-		resp := do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, key, nil)
-		var info jobs.Info
-		decodeJSON(t, resp, &info)
-		if info.State.Finished() {
-			return info
-		}
-	}
-	t.Fatalf("job %s did not finish", id)
-	return jobs.Info{}
-}
-
 // TestAuthJobQuota pins the per-tenant concurrent-job bound: max_jobs=1
 // refuses a second launch with 429 + Retry-After while the first runs, and
 // admits it once the slot frees.
@@ -440,9 +425,10 @@ func TestAuthJobQuota(t *testing.T) {
 
 	cfg := smallSuiteConfig()
 	cfg.Sections = []string{"fig6"}
-	// The slot-holding job is deliberately oversized (seconds of pipeline
-	// work) so it is still running when the second launch arrives — the
-	// small config finishes too fast to pin the quota against.
+	// The slot-holding job is deliberately oversized (a 100k-row population
+	// and fit before any generation) so it is still running when the second
+	// launch arrives — the small config finishes too fast to pin the quota
+	// against.
 	slow := cfg
 	slow.N = 100000
 	slow.MaxCheckPlausible = 50000

@@ -60,9 +60,18 @@ func launchEval(t *testing.T, ts *httptest.Server, cfg eval.SuiteConfig) string 
 	return acc.Job.ID
 }
 
-// pollJob polls GET /v1/jobs/{id} until the job reaches a terminal state,
-// asserting monotone non-decreasing progress along the way.
+// pollJob polls GET /v1/jobs/{id} without a key until the job reaches a
+// terminal state (see pollJobAs).
 func pollJob(t *testing.T, ts *httptest.Server, id string) jobs.Info {
+	t.Helper()
+	return pollJobAs(t, ts, id, "")
+}
+
+// pollJobAs polls GET /v1/jobs/{id} with a key ("" sends none) until the
+// job reaches a terminal state, asserting monotone non-decreasing progress
+// along the way. It gives up on a wall-clock deadline, not a poll count, so
+// how fast the polls run cannot decide whether a slow job "finished".
+func pollJobAs(t *testing.T, ts *httptest.Server, id, key string) jobs.Info {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	last := -1.0
@@ -70,16 +79,8 @@ func pollJob(t *testing.T, ts *httptest.Server, id string) jobs.Info {
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s did not finish in time", id)
 		}
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var info jobs.Info
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		decodeJSON(t, do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, key, nil), &info)
 		if info.Progress < last {
 			t.Fatalf("progress regressed from %v to %v", last, info.Progress)
 		}

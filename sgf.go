@@ -150,8 +150,11 @@ type Options struct {
 	MaxCost float64
 	// Backend selects the generative-model backend ("" = DefaultBackend).
 	Backend string
-	// MaxPlausible / MaxCheckPlausible are the §5 early-exit knobs
-	// (0 = unlimited).
+	// MaxPlausible / MaxCheckPlausible are the §5 knobs (0 = unlimited).
+	// The privacy test counts plausible seeds exactly, so MaxPlausible buys
+	// no speed: it only caps the count. A MaxCheckPlausible below the seed
+	// count selects the per-record walk, whose cost is linear in the cap
+	// (see core.TestConfig).
 	MaxPlausible, MaxCheckPlausible int
 	// Workers bounds generation parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -220,8 +223,8 @@ type FittedModel struct {
 	// Splits records the sizes of the DT/DP/DS partitions used.
 	Splits [3]int
 
-	// scanOnce/scanTab lazily cache the privacy test's scan layout. The
-	// table depends only on Seeds and the synthesizer's attribute order —
+	// scanOnce/scanTab lazily cache the privacy test's sorted seed table.
+	// The table depends only on Seeds and the synthesizer's attribute order —
 	// both fixed per fitted model — so one build serves every Mechanism the
 	// model answers, whatever its privacy parameters.
 	scanOnce sync.Once
@@ -307,8 +310,11 @@ type SynthOptions struct {
 	OmegaLo, OmegaHi int
 	// MaxCandidates caps the candidates drawn (0 = 100×Records).
 	MaxCandidates int
-	// MaxPlausible / MaxCheckPlausible are the §5 early-exit knobs
-	// (0 = unlimited).
+	// MaxPlausible / MaxCheckPlausible are the §5 knobs (0 = unlimited).
+	// The privacy test counts plausible seeds exactly, so MaxPlausible buys
+	// no speed: it only caps the count. A MaxCheckPlausible below the seed
+	// count selects the per-record walk, whose cost is linear in the cap
+	// (see core.TestConfig).
 	MaxPlausible, MaxCheckPlausible int
 	// Workers bounds generation parallelism (0 = GOMAXPROCS). By the
 	// core.GenerateCtx determinism contract the output does not depend on
@@ -341,11 +347,11 @@ func (fm *FittedModel) Mechanism(opts SynthOptions) (*Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Attach the model-wide scan table so per-request generation skips the
-	// O(n·m) rebuild. The table keys on the synthesizer's scan order, which
-	// is fixed per fitted model; the build is racy-safe behind scanOnce and
-	// a nil result (synthesizer with no fixed order) leaves the mechanism on
-	// its lazy path.
+	// Attach the model-wide sorted seed table so per-request generation
+	// skips the O(n·m) rebuild. The table keys on the synthesizer's order,
+	// which is fixed per fitted model; the build is racy-safe behind
+	// scanOnce and a nil result (synthesizer with no fixed order) leaves the
+	// mechanism on its lazy path.
 	fm.scanOnce.Do(func() { fm.scanTab = core.ScanTableFor(syn, fm.Seeds) })
 	mech.Scan = fm.scanTab
 	return mech, nil
