@@ -115,13 +115,14 @@ func run(dataPath, metaPath, candPath string, k int, gamma, eps0 float64, omegaL
 	fmt.Fprintf(out, "%-6s %-12s %-10s %-10s %s\n", "record", "maxProb", "partition", "plausible", "deniable(k,gamma)")
 
 	pass := 0
+	var probe core.Probe
 	for i := 0; i < n; i++ {
 		y := cands.Row(i)
-		prob := syn.Prober(y)
+		syn.Probe(y, &probe)
 		// Best-seed probability and partition.
 		best := 0.0
 		for _, d := range data.Rows() {
-			if p := prob(d); p > best {
+			if p := probe.Prob(d); p > best {
 				best = p
 			}
 		}
@@ -136,7 +137,7 @@ func run(dataPath, metaPath, candPath string, k int, gamma, eps0 float64, omegaL
 		deniable := false
 		if best > 0 {
 			for _, d := range data.Rows() {
-				if prob(d) == best {
+				if probe.Prob(d) == best {
 					deniable = core.IsPlausiblyDeniable(syn, data, d, y, k, gamma)
 					break
 				}

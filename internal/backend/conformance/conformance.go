@@ -11,9 +11,9 @@
 //     the decoded model synthesizes byte-identical output;
 //   - poisoned-payload rejection: truncated payloads are rejected without
 //     panicking, and corrupted payloads never panic the decoder;
-//   - GenProb/Prober agreement: the two probability paths return exactly
-//     the same values, and a candidate's own seed always has positive
-//     generation probability.
+//   - kernel/reference agreement: the generation kernel releases exactly
+//     what the reference Mechanism.Once loop releases, and a candidate's
+//     own seed always has positive generation probability.
 //
 // The suite runs each check against a non-private and a differentially
 // private fit, since DP noise exercises the hash-seeded stream plumbing
@@ -21,6 +21,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -67,7 +68,7 @@ func Run(t *testing.T, id string) {
 			t.Run("freeze-neutrality", func(t *testing.T) { checkFreezeNeutrality(t, b, eps) })
 			t.Run("codec-roundtrip", func(t *testing.T) { checkCodecRoundTrip(t, b, fx) })
 			t.Run("poisoned-rejection", func(t *testing.T) { checkPoisonedRejection(t, b, fx) })
-			t.Run("genprob-prober-agreement", func(t *testing.T) { checkProberAgreement(t, fx) })
+			t.Run("kernel-matches-reference", func(t *testing.T) { checkKernelMatchesReference(t, fx) })
 		})
 	}
 }
@@ -299,28 +300,54 @@ func checkPoisonedRejection(t *testing.T, b backend.Backend, fx fixture) {
 	}
 }
 
-// checkProberAgreement requires the two probability paths — GenProb and a
-// precomputed Prober — to return exactly equal values over every seed, and
-// a candidate's own generating seed to have positive probability (otherwise
+// checkKernelMatchesReference pins the generation kernel to the reference
+// path: core.GenerateCtx must release the records, with the statistics, of
+// a per-candidate Mechanism.Once loop on rng.NewStream(seed, i), under an
+// uncapped randomized test and under a capped one. The reference always
+// walks the seeds, so CheckedTotal is compared only where the kernel walks
+// too. Every candidate's own seed must have positive probability (otherwise
 // Mechanism 1's privacy test could not even count it).
-func checkProberAgreement(t *testing.T, fx fixture) {
+func checkKernelMatchesReference(t *testing.T, fx fixture) {
 	syn, err := fx.model.Synthesizer(1, len(fx.meta.Attrs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(7)
-	for i := 0; i < 20; i++ {
-		seed := fx.seeds.Row(r.Intn(fx.seeds.Len()))
-		y := syn.Generate(seed, r.Split())
-		if p := syn.GenProb(y, seed); p <= 0 {
-			t.Fatalf("candidate %d: generating seed has GenProb %g, want > 0", i, p)
+	const candidates, seed = 400, 5
+	for name, tc := range map[string]core.TestConfig{
+		"uncapped": {K: 3, Gamma: 8, Randomized: true, Eps0: 0.5},
+		"capped":   {K: 8, Gamma: 8, Randomized: true, Eps0: 0.5, MaxCheckPlausible: 10},
+	} {
+		mech, err := core.NewMechanism(syn, fx.seeds, tc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		prober := syn.Prober(y)
-		for j := 0; j < fx.seeds.Len(); j++ {
-			d := fx.seeds.Row(j)
-			if gp, pp := syn.GenProb(y, d), prober(d); gp != pp {
-				t.Fatalf("candidate %d seed %d: GenProb %g != Prober %g", i, j, gp, pp)
+		want := dataset.New(fx.meta)
+		var wantStats core.GenStats
+		for i := 0; i < candidates; i++ {
+			y, res, ok := mech.Once(rng.NewStream(seed, uint64(i)))
+			if res.SeedProb <= 0 {
+				t.Fatalf("%s candidate %d: generating seed has probability %g, want > 0", name, i, res.SeedProb)
 			}
+			wantStats.Candidates++
+			if tc.MaxCheckPlausible > 0 {
+				wantStats.CheckedTotal += int64(res.Checked)
+			}
+			if ok {
+				want.Append(y)
+				wantStats.Released++
+			}
+		}
+		if wantStats.Released == 0 {
+			t.Fatalf("%s: reference released nothing; the comparison would be vacuous", name)
+		}
+		have, stats, err := core.GenerateCtx(context.Background(), mech, core.GenConfig{Candidates: candidates, Workers: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, name+": kernel vs reference", want, have)
+		if stats.Candidates != wantStats.Candidates || stats.Released != wantStats.Released ||
+			stats.SeedRejected != 0 || stats.CheckedTotal != wantStats.CheckedTotal {
+			t.Fatalf("%s: kernel stats %+v, reference %+v", name, stats, wantStats)
 		}
 	}
 }

@@ -246,35 +246,29 @@ func (m *Model) Describe() *backend.Description {
 // Synthesizer samples every attribute independently from its marginal; the
 // seed is ignored. Generation draws exactly one Categorical per attribute
 // from the per-candidate RNG stream, so output is a deterministic function
-// of (model, candidate index, seed) — worker-count independent through the
-// generic pipeline path of core.GenerateCtx.
+// of (model, candidate index, seed) — worker-count independent through
+// core.GenerateCtx. Its probe is constant, so the privacy test counts
+// plausible seeds in O(1) per candidate.
 type Synthesizer struct {
 	m *Model
 }
 
-// Generate samples a record attribute-by-attribute; the seed is unused.
-func (s *Synthesizer) Generate(_ dataset.Record, r *rng.RNG) dataset.Record {
-	rec := make(dataset.Record, len(s.m.probs))
+// GenerateInto samples a record attribute by attribute into dst; the seed
+// is unused.
+func (s *Synthesizer) GenerateInto(dst, _ dataset.Record, r *rng.RNG) {
 	for attr := range s.m.probs {
-		rec[attr] = uint16(r.Categorical(s.m.probs[attr]))
+		dst[attr] = uint16(r.Categorical(s.m.probs[attr]))
 	}
-	return rec
 }
 
-// GenProb returns Π_i Pr{y_i}, independent of the seed d.
-func (s *Synthesizer) GenProb(y, _ dataset.Record) float64 {
-	p := 1.0
-	for attr := range s.m.probs {
-		p *= s.m.probs[attr][y[attr]]
-	}
-	return p
-}
-
-// Prober returns a constant function: generation ignores the seed, so
+// Probe sets the constant Π_i Pr{y_i}: generation ignores the seed, so
 // every record is an equally plausible seed.
-func (s *Synthesizer) Prober(y dataset.Record) func(d dataset.Record) float64 {
-	p := s.GenProb(y, nil)
-	return func(dataset.Record) float64 { return p }
+func (s *Synthesizer) Probe(y dataset.Record, p *core.Probe) {
+	prob := 1.0
+	for attr := range s.m.probs {
+		prob *= s.m.probs[attr][y[attr]]
+	}
+	p.SetConstant(prob)
 }
 
 var _ core.Synthesizer = (*Synthesizer)(nil)

@@ -130,7 +130,9 @@ func EncodeModel(w *wire.Writer, m *Model) {
 	w.Bool(m.cfg.DP)
 	w.Float64(m.cfg.EpsP)
 	w.String(m.cfg.NoiseKey)
-	w.Bool(m.cfg.GaussianNumerical)
+	// Retired flag for a Gaussian conditional; always false, so snapshots
+	// keep their layout.
+	w.Bool(false)
 	for i := range m.counts {
 		configs := make([]uint32, 0, len(m.counts[i]))
 		for c := range m.counts[i] {
@@ -157,9 +159,12 @@ func DecodeModel(r *wire.Reader, meta *dataset.Metadata, bkt *dataset.Bucketizer
 	cfg.DP = r.Bool()
 	cfg.EpsP = r.Float64()
 	cfg.NoiseKey = r.ReadString()
-	cfg.GaussianNumerical = r.Bool()
+	gaussian := r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if gaussian {
+		return nil, fmt.Errorf("bayesnet: snapshot model uses the retired Gaussian numerical conditional")
 	}
 	if cfg.Mode != MAPEstimate && cfg.Mode != PosteriorSample {
 		return nil, fmt.Errorf("bayesnet: snapshot model has unknown parameter mode %d", cfg.Mode)

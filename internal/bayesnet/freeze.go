@@ -193,7 +193,7 @@ func (f *Frozen) SampleChain(dst dataset.Record, order []int, from int, r *rng.R
 }
 
 // TailProducts fills tail (length len(order)+1) with the running conditional
-// products the generation-probability prober needs: tail[idx] = Π_{u ≥ idx}
+// products the generation-probability probe needs: tail[idx] = Π_{u ≥ idx}
 // Pr{rec_order(u) | rec}, accumulated right to left with tail[len(order)]
 // = 1 — one fused scan over the frozen probability rows instead of one
 // CondProb call per attribute. The multiplication order is identical to the

@@ -11,6 +11,43 @@ import (
 	"repro/internal/wire"
 )
 
+// gaussData builds records where a numeric attribute clusters around a
+// parent-dependent mean: Y=0 → values near 20, Y=1 → values near 70.
+func gaussData(t testing.TB, n int, seed uint64) (*dataset.Dataset, *Structure) {
+	t.Helper()
+	meta := dataset.MustMetadata(
+		dataset.NewCategorical("Y", "lo", "hi"),
+		dataset.NewNumerical("X", 0, 99),
+	)
+	g := NewGraph(2)
+	if err := g.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopologicalOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &Structure{Graph: g, Order: order, Scores: make([]float64, 2)}
+	r := rng.New(seed)
+	ds := dataset.New(meta)
+	for i := 0; i < n; i++ {
+		y := uint16(r.Intn(2))
+		mean := 20.0
+		if y == 1 {
+			mean = 70
+		}
+		x := int(math.Round(r.Normal(mean, 8)))
+		if x < 0 {
+			x = 0
+		}
+		if x > 99 {
+			x = 99
+		}
+		ds.Append(dataset.Record{y, uint16(x)})
+	}
+	return ds, st
+}
+
 // freezeCase learns the same model twice from identical data and freezes
 // only one, so tests can compare the lazy and frozen paths bit for bit.
 func freezeCase(t *testing.T, cfg ModelConfig, gaussian bool) (frozen, lazy *Model) {
@@ -42,10 +79,10 @@ func freezeCase(t *testing.T, cfg ModelConfig, gaussian bool) (frozen, lazy *Mod
 }
 
 // TestFrozenByteIdentical pins the tentpole contract: for every ParamMode,
-// with and without DP noise, and for the Gaussian-numerical conditional
-// (whose card-100 rows exercise the guide index), a frozen model samples
-// and scores byte-for-byte like the unfrozen model, consuming identical
-// RNG state.
+// with and without DP noise, and on the Gaussian-clustered gaussData
+// fixture (whose card-100 rows exercise the guide index), a frozen model
+// samples and scores byte-for-byte like the unfrozen model, consuming
+// identical RNG state.
 func TestFrozenByteIdentical(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -56,8 +93,8 @@ func TestFrozenByteIdentical(t *testing.T) {
 		{"posterior", ModelConfig{Alpha: 0.5, Mode: PosteriorSample, NoiseKey: "p"}, false},
 		{"map-dp", ModelConfig{Alpha: 0.5, DP: true, EpsP: 1, NoiseKey: "d"}, false},
 		{"posterior-dp", ModelConfig{Alpha: 0.5, Mode: PosteriorSample, DP: true, EpsP: 1, NoiseKey: "pd"}, false},
-		{"gaussian", ModelConfig{Alpha: 0.5, GaussianNumerical: true, NoiseKey: "g"}, true},
-		{"gaussian-posterior-dp", ModelConfig{Alpha: 0.5, Mode: PosteriorSample, DP: true, EpsP: 1, GaussianNumerical: true, NoiseKey: "gpd"}, true},
+		{"gaussian", ModelConfig{Alpha: 0.5, NoiseKey: "g"}, true},
+		{"gaussian-posterior-dp", ModelConfig{Alpha: 0.5, Mode: PosteriorSample, DP: true, EpsP: 1, NoiseKey: "gpd"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,10 +131,10 @@ func TestFrozenByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFrozenGuideBuilt asserts the wide Gaussian rows actually take the
+// TestFrozenGuideBuilt asserts the wide gaussData rows actually take the
 // guide-indexed path rather than silently degrading to linear scans.
 func TestFrozenGuideBuilt(t *testing.T) {
-	fm, _ := freezeCase(t, ModelConfig{Alpha: 0.5, GaussianNumerical: true, NoiseKey: "g"}, true)
+	fm, _ := freezeCase(t, ModelConfig{Alpha: 0.5, NoiseKey: "g"}, true)
 	f := fm.Frozen()
 	if f.attrs[1].guide == nil { // attribute X, card 100
 		t.Fatal("card-100 attribute frozen without a guide index")

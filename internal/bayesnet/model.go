@@ -42,13 +42,6 @@ type ModelConfig struct {
 	// the same key, data, and structure materialize identical noisy
 	// parameters (the paper's deterministic-RNG-seeding trick, §5).
 	NoiseKey string
-	// GaussianNumerical switches Numerical attributes to the continuous
-	// conditional of §3.4: a per-configuration Normal distribution
-	// (discretized back onto the integer domain). Categorical attributes
-	// keep the Dirichlet-multinomial path. When DP is set, the Gaussian
-	// sufficient statistics consume three unit-sensitivity queries per
-	// configuration at EpsP each (see gaussian.go).
-	GaussianNumerical bool
 }
 
 // Model is the learned generative model of eq. (2): a structure G̃ plus
@@ -180,28 +173,18 @@ func (m *Model) paramsFor(attr int, c uint32) []float64 {
 	return p
 }
 
-// hashedStream derives the deterministic noise stream of a configuration.
-func hashedStream(noiseKey, kind string, attr int, c uint32) *rng.RNG {
-	return rng.NewHashed(noiseKey, kind, itoa(attr), "config", utoa(c))
-}
-
 // materialize builds the probability vector for one configuration: raw
 // counts → optional Laplace randomization (eq. 14) → MAP estimate (eq. 13)
 // or a posterior Dirichlet sample (eq. 12). All noise and sampling come
 // from a stream seeded by a hash of (NoiseKey, attr, config), so the result
-// is a deterministic function of the configuration (§5). Numerical
-// attributes switch to the discretized-Normal path when the model is
-// configured with GaussianNumerical (§3.4's continuous option).
+// is a deterministic function of the configuration (§5).
 func (m *Model) materialize(attr int, c uint32) []float64 {
-	if m.useGaussian(attr) {
-		return m.gaussianParams(attr, c)
-	}
 	card := m.Meta.Attrs[attr].Card()
 	counts := make([]float64, card)
 	if raw := m.counts[attr][c]; raw != nil {
 		copy(counts, raw)
 	}
-	stream := hashedStream(m.cfg.NoiseKey, "attr", attr, c)
+	stream := rng.NewHashed(m.cfg.NoiseKey, "attr", itoa(attr), "config", utoa(c))
 	if m.cfg.DP {
 		for l := range counts {
 			counts[l] += stream.Laplace(1 / m.cfg.EpsP)

@@ -35,10 +35,12 @@ func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint6
 }
 
 // batchMechs builds the mechanisms the batch-identity matrix runs over, all
-// on frozen models so the batched hot path (sorted seed table, fused
-// sampling, arena) is what executes: a deterministic one whose cap selects
-// the per-record walk, and two uncapped randomized ones whose test counts
-// exactly, the second at paper parameters.
+// on frozen models so the batched kernel (sorted seed table, fused
+// sampling, arena) is what executes: for the seed synthesizer, a
+// deterministic one whose cap selects the per-record walk and two uncapped
+// randomized ones whose test counts exactly, the second at paper
+// parameters; for a constant probe (marginalSyn), an uncapped randomized
+// one and a capped one, whose counts the kernel computes in O(1).
 func batchMechs(t *testing.T) map[string]*Mechanism {
 	t.Helper()
 	model := benchModel(t, 21)
@@ -56,6 +58,22 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 		"randomized":    {K: 5, Gamma: 3, Randomized: true, Eps0: 0.8, MaxPlausible: 12},
 	} {
 		mech, err := NewMechanism(syn, seeds, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = mech
+	}
+	marg := marginalSyn{marginalModel(t, model)}
+	if err := marg.model.Freeze(0); err != nil {
+		t.Fatal(err)
+	}
+	// K near |D| with a noisy threshold, so candidates pass and fail.
+	margSeeds := tinySeeds(t, model, 40, 24)
+	for name, tc := range map[string]TestConfig{
+		"constant":        {K: 38, Gamma: 3, Randomized: true, Eps0: 0.5},
+		"constant-capped": {K: 8, Gamma: 3, Randomized: true, Eps0: 0.5, MaxCheckPlausible: 10},
+	} {
+		mech, err := NewMechanism(marg, margSeeds, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,18 +160,18 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFastTestMatchesRunTest pins the fast privacy-test kernel against the
+// TestFastTestMatchesRunTest pins the kernel's privacy test against the
 // reference RunTest path on identical RNG streams, candidate by candidate:
-// the capped walk and the exact count (on a small seed set and at paper
-// parameters) must produce identical records, decisions, counts and
-// thresholds, and consume identical RNG state. Checked matches where the
-// kernel walks and is 0 where it counts exactly.
+// the capped walk, the exact count (on a small seed set and at paper
+// parameters) and the constant probe's O(1) count, capped and uncapped,
+// must produce identical records, decisions, counts and thresholds, and
+// consume identical RNG state. Checked matches where the kernel walks and
+// is 0 where it counts.
 func TestFastTestMatchesRunTest(t *testing.T) {
 	for name, mech := range batchMechs(t) {
 		t.Run(name, func(t *testing.T) {
-			hs := mech.Synth.(hotSynthesizer)
 			st := mech.ensureScan()
-			if st == nil {
+			if _, seeded := mech.Synth.(*SeedSynthesizer); seeded && st == nil {
 				t.Fatal("expected a sorted seed table for the seed synthesizer")
 			}
 			pre, err := newTestPre(mech)
@@ -162,11 +180,11 @@ func TestFastTestMatchesRunTest(t *testing.T) {
 			}
 			sc := newGenScratch(len(mech.Seeds.Meta.Attrs))
 			rFast, rRef := rng.New(0), rng.New(0)
-			passes := 0
+			passes, fails := 0, 0
 			for i := uint64(0); i < 500; i++ {
 				rFast.ReseedStream(7, i)
 				rRef.ReseedStream(7, i)
-				y, res, ok := mech.onceFast(hs, sc, st, &pre, rFast)
+				y, res, ok := mech.onceFast(sc, st, &pre, rFast)
 				wantY, wantRes, wantOK := mech.Once(rRef)
 				if !walks(mech) {
 					if res.Checked != 0 {
@@ -188,10 +206,12 @@ func TestFastTestMatchesRunTest(t *testing.T) {
 				}
 				if ok {
 					passes++
+				} else {
+					fails++
 				}
 			}
-			if passes == 0 {
-				t.Fatal("no candidate passed; the comparison would be one-sided")
+			if passes == 0 || fails == 0 {
+				t.Fatalf("%d candidates passed and %d failed; the comparison would be one-sided", passes, fails)
 			}
 		})
 	}
@@ -218,7 +238,7 @@ func TestBatchedGenerateCancelled(t *testing.T) {
 // configuration a serving layer runs — complementing the single-core
 // BenchmarkGenerateFrozen number.
 func BenchmarkGenerateBatched(b *testing.B) {
-	mech := benchMech(b, true, false)
+	mech := benchMech(b)
 	const candidates = 10000
 	b.ReportAllocs()
 	b.ResetTimer()

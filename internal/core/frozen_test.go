@@ -54,28 +54,24 @@ func benchModel(t testing.TB, seed uint64) *bayesnet.Model {
 	return model
 }
 
-// genericSyn hides the hot-path interface, forcing the generation pipeline
-// down the allocating Once path — the seed implementation's behavior.
-type genericSyn struct{ Synthesizer }
-
 // TestFrozenGenerateByteIdentical is the pipeline half of the determinism
-// suite: a frozen model, an unfrozen model, and the generic (pre-hot-path)
-// pipeline must release byte-identical sequences with identical stats, for
-// every worker count, for both synthesizer kinds.
+// suite: a frozen model and an unfrozen model must release byte-identical
+// sequences with identical stats, for every worker count, for both
+// synthesizer kinds.
 func TestFrozenGenerateByteIdentical(t *testing.T) {
 	type variant struct {
 		name string
 		mech *Mechanism
 	}
 	build := func(t *testing.T, marginal bool) []variant {
-		vs := make([]variant, 0, 3)
-		for _, v := range []string{"lazy", "frozen", "generic"} {
+		vs := make([]variant, 0, 2)
+		for _, v := range []string{"lazy", "frozen"} {
 			var model *bayesnet.Model
 			var syn Synthesizer
 			var err error
 			if marginal {
 				model = marginalModel(t, benchModel(t, 21))
-				syn, err = NewMarginalSynthesizer(model)
+				syn = marginalSyn{model}
 			} else {
 				model = benchModel(t, 21)
 				syn, err = NewSeedSynthesizer(model, 9, 11)
@@ -87,9 +83,6 @@ func TestFrozenGenerateByteIdentical(t *testing.T) {
 				if err := model.Freeze(0); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if v == "generic" {
-				syn = genericSyn{syn}
 			}
 			seeds := tinySeeds(t, model, 300, 22)
 			mech, err := NewMechanism(syn, seeds, TestConfig{K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64})
@@ -144,7 +137,7 @@ func TestFrozenGenerateByteIdentical(t *testing.T) {
 }
 
 // marginalModel relearns the model's data-free marginal counterpart over an
-// edgeless structure (MarginalSynthesizer requires one).
+// edgeless structure, for marginalSyn.
 func marginalModel(t testing.TB, src *bayesnet.Model) *bayesnet.Model {
 	t.Helper()
 	st := bayesnet.MarginalStructure(src.Meta)
@@ -302,43 +295,31 @@ func benchmarkGenerate(b *testing.B, mech *Mechanism) {
 	}
 }
 
-func benchMech(b *testing.B, frozen, generic bool) *Mechanism {
+func benchMech(b *testing.B) *Mechanism {
 	model := benchModel(b, 21)
-	if frozen {
-		if err := model.Freeze(0); err != nil {
-			b.Fatal(err)
-		}
+	if err := model.Freeze(0); err != nil {
+		b.Fatal(err)
 	}
 	syn, err := NewSeedSynthesizer(model, 9, 11)
 	if err != nil {
 		b.Fatal(err)
-	}
-	var s Synthesizer = syn
-	if generic {
-		s = genericSyn{syn}
 	}
 	seeds := tinySeeds(b, model, 300, 22)
 	// The caps are the tool's max_plausible / max_check_plausible knobs
 	// (§5). A MaxCheckPlausible below |D| selects the privacy test's
 	// per-record walk, so these benchmarks gate the walk alongside
 	// sampling; BenchmarkGenerateExact gates the uncapped exact count.
-	mech, err := NewMechanism(s, seeds, TestConfig{K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64})
+	mech, err := NewMechanism(syn, seeds, TestConfig{K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return mech
 }
 
-// BenchmarkGenerateBaseline is the seed implementation's hot path: lazy
-// locked parameter lookup, per-candidate allocations.
-func BenchmarkGenerateBaseline(b *testing.B) {
-	benchmarkGenerate(b, benchMech(b, false, true))
-}
-
 // BenchmarkGenerateFrozen is the full fast path: frozen tables + per-worker
 // scratch reuse.
 func BenchmarkGenerateFrozen(b *testing.B) {
-	benchmarkGenerate(b, benchMech(b, true, false))
+	benchmarkGenerate(b, benchMech(b))
 }
 
 // BenchmarkGenerateExact is the uncapped hot path at the §6.1 test

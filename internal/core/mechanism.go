@@ -62,10 +62,13 @@ func NewMechanism(syn Synthesizer, seeds *dataset.Dataset, test TestConfig) (*Me
 // test outcome, and whether the candidate may be released. The candidate is
 // returned even when the test fails so that callers can account for it
 // (the tool emits all candidates and marks which passed, §6.5); callers
-// must release only records with ok == true.
+// must release only records with ok == true. Once is the reference
+// implementation the generation kernel is pinned against: it allocates
+// its candidate and runs the reference RunTest.
 func (m *Mechanism) Once(r *rng.RNG) (dataset.Record, TestResult, bool) {
 	seed := m.Seeds.Row(r.Intn(m.Seeds.Len()))
-	y := m.Synth.Generate(seed, r)
+	y := make(dataset.Record, len(seed))
+	m.Synth.GenerateInto(y, seed, r)
 	res, err := RunTest(m.Synth, m.Seeds, seed, y, m.Test, r)
 	if err != nil {
 		// Config was validated at construction; an error here means the
@@ -76,27 +79,27 @@ func (m *Mechanism) Once(r *rng.RNG) (dataset.Record, TestResult, bool) {
 }
 
 // genScratch is a generation worker's reusable state: the candidate record
-// buffer and the prober precomputation, allocated once per worker instead
-// of once per candidate.
+// buffer and the probe, allocated once per worker instead of once per
+// candidate.
 type genScratch struct {
 	rec dataset.Record
-	ps  proberState
+	ps  Probe
 }
 
 func newGenScratch(numAttrs int) *genScratch {
 	return &genScratch{rec: make(dataset.Record, numAttrs)}
 }
 
-// onceFast is Once through the allocation-free hot path: the candidate is
+// onceFast is Once through the allocation-free kernel: the candidate is
 // generated into sc.rec (the returned record ALIASES sc.rec — copy it to
-// keep it past the next iteration) and the privacy test runs on reused
-// prober state against the sorted seed table. It consumes exactly the RNG
-// state Once would, and returns the same record and the same test result
-// apart from Checked (see TestResult).
-func (m *Mechanism) onceFast(hs hotSynthesizer, sc *genScratch, st *ScanTable, pre *testPre, r *rng.RNG) (dataset.Record, TestResult, bool) {
+// keep it past the next iteration) and the privacy test runs on the reused
+// probe against the sorted seed table. It consumes exactly the RNG state
+// Once would, and returns the same record and the same test result apart
+// from Checked (see TestResult).
+func (m *Mechanism) onceFast(sc *genScratch, st *ScanTable, pre *testPre, r *rng.RNG) (dataset.Record, TestResult, bool) {
 	seed := m.Seeds.Row(r.Intn(pre.n))
-	hs.generateInto(sc.rec, seed, r)
-	hs.proberInit(sc.rec, &sc.ps)
+	m.Synth.GenerateInto(sc.rec, seed, r)
+	m.Synth.Probe(sc.rec, &sc.ps)
 	res := runTestFast(&sc.ps, st, pre, seed, r)
 	return sc.rec, res, res.Pass
 }
@@ -152,7 +155,7 @@ type GenStats struct {
 	SeedRejected int
 	// CheckedTotal sums TestResult.Checked: the seed records the privacy
 	// test's walk read one at a time. It is 0 for runs whose test counts
-	// exactly (no MaxCheckPlausible cap in (0, |D|)) on the hot path.
+	// exactly (no MaxCheckPlausible cap in (0, |D|)).
 	CheckedTotal int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
@@ -268,19 +271,13 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 		batch = defaultGenBatch
 	}
 
-	hs, hot := mech.Synth.(hotSynthesizer)
-	var st *ScanTable
-	var pre testPre
-	if hot {
-		st = mech.ensureScan()
-		var err error
-		pre, err = newTestPre(mech)
-		if err != nil {
-			// Config was validated at construction; failing here means the
-			// mechanism was mutated invalid afterwards, which is a
-			// programming error (Once panics the same way).
-			panic(err)
-		}
+	st := mech.ensureScan()
+	pre, err := newTestPre(mech)
+	if err != nil {
+		// Config was validated at construction; failing here means the
+		// mechanism was mutated invalid afterwards, which is a programming
+		// error (Once panics the same way).
+		panic(err)
 	}
 
 	// Nil slot entries (rejected or cancelled) are squeezed out by the
@@ -298,11 +295,8 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 		go func() {
 			defer wg.Done()
 			var c genCounters
-			var sc *genScratch
 			var arena recordArena
-			if hot {
-				sc = newGenScratch(len(mech.Seeds.Meta.Attrs))
-			}
+			sc := newGenScratch(len(mech.Seeds.Meta.Attrs))
 			seeder := rng.NewStreamSeeder(cfg.Seed)
 			r := rng.New(0) // reseeded per candidate below
 		claim:
@@ -323,29 +317,17 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 				seeder.Seek(cfg.IndexOffset + uint64(lo))
 				for i := lo; i < hi; i++ {
 					seeder.Reseed(r)
-					var (
-						y   dataset.Record
-						res TestResult
-						ok  bool
-					)
-					if hot {
-						// Scratch-buffer generation: only passing candidates
-						// are copied out (through the arena); the rest cost
-						// zero allocations.
-						y, res, ok = mech.onceFast(hs, sc, st, &pre, r)
-						if ok {
-							y = arena.clone(y)
-						}
-					} else {
-						y, res, ok = mech.Once(r)
-					}
+					// Scratch-buffer generation: only passing candidates are
+					// copied out (through the arena); the rest cost zero
+					// allocations.
+					y, res, ok := mech.onceFast(sc, st, &pre, r)
 					c.cands++
 					c.checked += int64(res.Checked)
 					if res.SeedProb <= 0 {
 						c.rejected++
 					}
 					if ok {
-						slots[i] = y
+						slots[i] = arena.clone(y)
 						c.pass++
 					}
 				}

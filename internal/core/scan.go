@@ -11,7 +11,7 @@ import (
 
 // The privacy test's plausible-seed count is the hot path's hot path. For
 // the seed synthesizer, Pr{y = M(d)} depends on a seed d only through its
-// agreement bucket with the candidate y (see proberState.agreeBucket): the
+// agreement bucket with the candidate y (see Probe.agreeBucket): the
 // length of the σ-prefix d shares with y, clamped to [loIdx, hiIdx]. With
 // the seeds sorted lexicographically in σ order, the A_j seeds sharing y's
 // first j σ-values form one contiguous row range, which two binary searches
@@ -91,28 +91,22 @@ func NewScanTable(data *dataset.Dataset, order []int) *ScanTable {
 	return t
 }
 
-// scanOrdered is implemented by synthesizers whose probers compare seeds
-// against a candidate along a fixed attribute order — the precondition for
-// the sorted seed table.
-type scanOrdered interface {
-	scanOrder() []int
-}
-
 // ScanTableFor builds the sorted seed table for a synthesizer over its seed
-// dataset, or returns nil when the synthesizer has no fixed scan order
-// (e.g. the constant-prober marginal baseline, which needs none: its count
-// is computed analytically).
+// dataset, keyed on the σ order the seed synthesizer's probe compares seeds
+// along. It returns nil for any other synthesizer (e.g. the marginal
+// backend, whose constant probe needs none: its count is computed
+// analytically).
 func ScanTableFor(syn Synthesizer, seeds *dataset.Dataset) *ScanTable {
-	so, ok := syn.(scanOrdered)
+	s, ok := syn.(*SeedSynthesizer)
 	if !ok {
 		return nil
 	}
-	return NewScanTable(seeds, so.scanOrder())
+	return NewScanTable(seeds, s.Model.Struct.Order)
 }
 
 // countPlausible returns the exact number of seeds whose agreement bucket
-// with the prober's candidate the partition memo matches.
-func (t *ScanTable) countPlausible(ps *proberState) int {
+// with the probe's candidate the partition memo matches.
+func (t *ScanTable) countPlausible(ps *Probe) int {
 	top := ps.decisive()
 	r := t.prefixRanges(ps, top)
 	total, shared := 0, t.n
@@ -136,7 +130,7 @@ func (t *ScanTable) countPlausible(ps *proberState) int {
 // share y's first j σ-values, as (first row, row count) pairs for j = 1 …
 // top. The rows sharing j values are sorted by σ-position j, so each range
 // narrows the previous one by two binary searches.
-func (t *ScanTable) prefixRanges(ps *proberState, top int) []int {
+func (t *ScanTable) prefixRanges(ps *Probe, top int) []int {
 	if cap(ps.ranges) < 2*top {
 		ps.ranges = make([]int, 0, 2*ps.hiIdx)
 	}
@@ -183,7 +177,7 @@ func (t *ScanTable) narrow(k int, v uint16, lo, hi int) (int, int) {
 // looked up through rank: going down the nested prefix ranges, the verdict
 // starts at match[0] and flips at every range where the memo changes, so
 // it is match[0] XOR the parity of the flipping ranges holding the row.
-func (t *ScanTable) walk(ps *proberState, maxCheck, breakAt, start, stride int) (checked, count int) {
+func (t *ScanTable) walk(ps *Probe, maxCheck, breakAt, start, stride int) (checked, count int) {
 	top := ps.decisive()
 	r := t.prefixRanges(ps, top)
 	flips := r[:0]
@@ -258,13 +252,13 @@ func newTestPre(m *Mechanism) (testPre, error) {
 	return pre, nil
 }
 
-// runTestFast is the batched kernel's privacy test: identical RNG
+// runTestFast is the generation kernel's privacy test: identical RNG
 // consumption, decisions, PlausibleCount and Threshold as RunTest over the
-// same prober state. The seed's partition and threshold are computed as in
+// same probe. The seed's partition and threshold are computed as in
 // RunTest and the partition is memoized per agreement bucket (see
 // initPartitions), so no seed needs a float. Three shapes:
 //
-//   - constant prober: every seed matches or none does — the count is
+//   - constant probe: every seed matches or none does — the count is
 //     computed analytically in O(1).
 //   - capped (MaxCheckPlausible in (0, n)): the per-record walk over the
 //     sorted table, in RunTest's visit order.
@@ -272,8 +266,8 @@ func newTestPre(m *Mechanism) (testPre, error) {
 //
 // An uncapped walk visits every seed unless it stops at breakAt matches,
 // so its count is min(total, breakAt) whatever the visit order.
-func runTestFast(ps *proberState, st *ScanTable, pre *testPre, seed dataset.Record, r *rng.RNG) TestResult {
-	res := TestResult{SeedProb: ps.proberEval(seed), Threshold: float64(pre.k)}
+func runTestFast(ps *Probe, st *ScanTable, pre *testPre, seed dataset.Record, r *rng.RNG) TestResult {
+	res := TestResult{SeedProb: ps.Prob(seed), Threshold: float64(pre.k)}
 
 	part, ok := partitionIndexLog(res.SeedProb, pre.logGamma)
 	if !ok {
@@ -313,7 +307,7 @@ func runTestFast(ps *proberState, st *ScanTable, pre *testPre, seed dataset.Reco
 	capped := maxCheck < n
 	switch {
 	case ps.constP >= 0:
-		// Constant prober: replaying the walk analytically, every visit
+		// Constant probe: replaying the walk analytically, every visit
 		// checks one seed, a match increments the count, and the walk stops
 		// at breakAt matches or maxCheck visits.
 		if ps.constMatch {

@@ -13,7 +13,7 @@ import (
 // plausibleEval is the per-record oracle of the seed synthesizer's count:
 // it reports whether the record is a plausible seed under the partition
 // memo the state currently holds.
-func (ps *proberState) plausibleEval(d dataset.Record) bool {
+func (ps *Probe) plausibleEval(d dataset.Record) bool {
 	j := ps.agreeBucket(d)
 	return j >= 0 && ps.match[j]
 }
@@ -69,19 +69,19 @@ func TestExactCountMatchesPerRecord(t *testing.T) {
 func checkExactCount(t *testing.T, tag string, syn *SeedSynthesizer, seeds *dataset.Dataset, st *ScanTable, r *rng.RNG) {
 	t.Helper()
 	n := seeds.Len()
-	var ps proberState
+	var ps Probe
 	for trial := 0; trial < 12; trial++ {
 		// Candidates generated from a seed share long σ-prefixes with the
 		// seed set; uniformly random ones mostly share none.
 		seed := seeds.Row(r.Intn(n))
-		y := syn.Generate(seed, r)
+		y := generate(syn, seed, r)
 		if trial%3 == 2 {
 			for a := range y {
 				y[a] = uint16(r.Intn(syn.Model.Meta.Attrs[a].Card()))
 			}
 		}
-		syn.proberInit(y, &ps)
-		part, ok := PartitionIndex(ps.proberEval(seed), 4)
+		syn.Probe(y, &ps)
+		part, ok := PartitionIndex(ps.Prob(seed), 4)
 		if !ok {
 			part = 0
 		}

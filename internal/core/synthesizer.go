@@ -2,12 +2,11 @@
 // deniability as a privacy criterion for data synthesis (§2).
 //
 // It provides the seed-based generative synthesis of §3.2 with exact
-// generation probabilities Pr{y = M(d)}, the marginal baseline, the
-// (k, γ)-plausible deniability criterion of Definition 1, the deterministic
-// Privacy Test 1 and the randomized Privacy Test 2 (whose composition with
-// Mechanism 1 is (ε, δ)-differentially private by Theorem 1), Mechanism 1
-// itself, and an embarrassingly parallel generation pipeline mirroring the
-// tool of §5.
+// generation probabilities Pr{y = M(d)}, the (k, γ)-plausible deniability
+// criterion of Definition 1, the deterministic Privacy Test 1 and the
+// randomized Privacy Test 2 (whose composition with Mechanism 1 is
+// (ε, δ)-differentially private by Theorem 1), Mechanism 1 itself, and an
+// embarrassingly parallel generation pipeline mirroring the tool of §5.
 package core
 
 import (
@@ -20,17 +19,21 @@ import (
 
 // Synthesizer is a probabilistic generative model M that transforms a seed
 // record into a synthetic record, with computable generation probabilities.
+// Its two methods are all Mechanism 1 needs, and the generation kernel
+// calls both once per candidate on per-worker buffers. Both must be
+// deterministic — the same inputs and RNG state give the same candidate and
+// the same probabilities — since the determinism contract of GenerateCtx
+// rides on it.
 type Synthesizer interface {
-	// Generate produces a synthetic record y = M(seed).
-	Generate(seed dataset.Record, r *rng.RNG) dataset.Record
-	// GenProb returns Pr{y = M(d)}: the probability that the model would
-	// output y given seed d.
-	GenProb(y, d dataset.Record) float64
-	// Prober returns a function computing Pr{y = M(d)} for a fixed y.
-	// Implementations precompute whatever they can for y, making repeated
-	// evaluation over many candidate seeds (the plausible-seed count of the
-	// privacy tests) cheap.
-	Prober(y dataset.Record) func(d dataset.Record) float64
+	// GenerateInto overwrites dst, one entry per attribute, with a synthetic
+	// record y = M(seed) drawn from r.
+	GenerateInto(dst, seed dataset.Record, r *rng.RNG)
+	// Probe fills p for the candidate y, after which p.Prob(d) returns
+	// Pr{y = M(d)} for any seed d. Implementations precompute there
+	// whatever makes evaluation over many seeds (the privacy test's
+	// plausible-seed count) cheap; a model whose generation ignores the
+	// seed calls p.SetConstant. The probe may keep a reference to y.
+	Probe(y dataset.Record, p *Probe)
 }
 
 // SeedSynthesizer is the generative synthesis of §3.2: a synthetic record
@@ -56,20 +59,12 @@ func NewSeedSynthesizer(model *bayesnet.Model, omegaLo, omegaHi int) (*SeedSynth
 	return &SeedSynthesizer{Model: model, OmegaLo: omegaLo, OmegaHi: omegaHi}, nil
 }
 
-// Generate implements eq. (3): it copies the seed, then re-samples the last
-// ω attributes in σ order, each conditioned on the current (partially
-// updated) record.
-func (s *SeedSynthesizer) Generate(seed dataset.Record, r *rng.RNG) dataset.Record {
-	rec := make(dataset.Record, len(seed))
-	s.generateInto(rec, seed, r)
-	return rec
-}
-
-// generateInto is Generate without the output allocation: it overwrites dst
-// (same length as seed) with the synthetic record. It draws through the
-// model's frozen tables when published — same RNG consumption, same values,
-// no locks (see bayesnet/freeze.go).
-func (s *SeedSynthesizer) generateInto(dst, seed dataset.Record, r *rng.RNG) {
+// GenerateInto implements eq. (3): it copies the seed into dst, then
+// re-samples the last ω attributes in σ order, each conditioned on the
+// current (partially updated) record. It draws through the model's frozen
+// tables when published — same RNG consumption, same values, no locks (see
+// bayesnet/freeze.go).
+func (s *SeedSynthesizer) GenerateInto(dst, seed dataset.Record, r *rng.RNG) {
 	m := len(seed)
 	omega := s.OmegaLo + r.Intn(s.OmegaHi-s.OmegaLo+1)
 	copy(dst, seed)
@@ -84,32 +79,12 @@ func (s *SeedSynthesizer) generateInto(dst, seed dataset.Record, r *rng.RNG) {
 	}
 }
 
-// scanOrder exposes the attribute order the prober compares seeds along,
-// which the privacy test's sorted seed table is keyed on (see ScanTableFor).
-func (s *SeedSynthesizer) scanOrder() []int { return s.Model.Struct.Order }
-
-// GenProb returns Pr{y = M(d)} exactly.
-//
-// For a fixed ω the probability factorizes as
-//
-//	[d and y agree on σ(1..m−ω)] · Π_{i>m−ω} Pr{y_σ(i) | parents(y)}
-//
-// because the copied attributes equal the seed's values and every
-// re-sampled conditional reads only attributes earlier in σ, whose values
-// in the partially updated record coincide with y's. For a random ω the
-// probability is the uniform mixture over the range, so different seeds —
-// agreeing with y on different σ-prefixes — genuinely fall into different
-// γ-partitions of the privacy test.
-func (s *SeedSynthesizer) GenProb(y, d dataset.Record) float64 {
-	return s.Prober(y)(d)
-}
-
-// proberState holds the per-candidate precomputation of a prober so the
-// generation pipeline can reuse one allocation per worker instead of
-// allocating tails, sums, and a closure for every candidate. A state is
-// (re)filled by proberInit and read by proberEval; it is owned by a single
-// goroutine.
-type proberState struct {
+// Probe holds a Synthesizer's precomputation for one candidate y, so that
+// Pr{y = M(d)} costs little for each of the many seeds d the privacy test
+// prices. A Synthesizer fills it and Prob reads it. The generation kernel
+// reuses one Probe per worker, so refilling it allocates nothing in steady
+// state; a Probe is owned by a single goroutine.
+type Probe struct {
 	y     dataset.Record
 	order []int
 	// tail[idx] = Π_{u=idx..m-1} Pr{y_σ(u) | y}; tail[m] = 1.
@@ -119,7 +94,7 @@ type proberState struct {
 	loIdx, hiIdx int
 	weight       float64
 	// constP, when ≥ 0, short-circuits evaluation to a seed-independent
-	// probability (the marginal synthesizer's case).
+	// probability (see SetConstant).
 	constP float64
 	// match memoizes the privacy test's partition comparison per agreement
 	// bucket (see initPartitions): match[j] reports whether the probability
@@ -131,6 +106,18 @@ type proberState struct {
 	ranges []int
 }
 
+// SetConstant fills the probe with a seed-independent probability: Prob
+// returns prob for every seed. It is the one setter a model whose
+// generation ignores the seed needs, and the privacy test then counts
+// plausible seeds in O(1). A negative or NaN prob is stored as 0, which
+// makes no seed plausible.
+func (ps *Probe) SetConstant(prob float64) {
+	if !(prob >= 0) {
+		prob = 0
+	}
+	ps.constP = prob
+}
+
 // grow returns buf resized to n, reusing its backing array when possible.
 func grow(buf []float64, n int) []float64 {
 	if cap(buf) < n {
@@ -139,12 +126,23 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// proberInit precomputes, for the fixed candidate y, the conditional tail
-// products and their partial mixture sums, so each seed evaluation costs
-// one σ-prefix comparison plus a table lookup. Conditionals are read
-// through the frozen tables when published — the identical float64 values
-// the lazy path materializes.
-func (s *SeedSynthesizer) proberInit(y dataset.Record, ps *proberState) {
+// Probe precomputes Pr{y = M(d)} exactly. For a fixed ω the probability
+// factorizes as
+//
+//	[d and y agree on σ(1..m−ω)] · Π_{i>m−ω} Pr{y_σ(i) | parents(y)}
+//
+// because the copied attributes equal the seed's values and every
+// re-sampled conditional reads only attributes earlier in σ, whose values
+// in the partially updated record coincide with y's. For a random ω the
+// probability is the uniform mixture over the range, so different seeds —
+// agreeing with y on different σ-prefixes — genuinely fall into different
+// γ-partitions of the privacy test.
+//
+// The probe keeps the conditional tail products and their partial mixture
+// sums, so each seed evaluation costs one σ-prefix comparison plus a table
+// lookup. Conditionals are read through the frozen tables when published —
+// the identical float64 values the lazy path materializes.
+func (s *SeedSynthesizer) Probe(y dataset.Record, ps *Probe) {
 	m := len(y)
 	order := s.Model.Struct.Order
 	ps.y, ps.order, ps.constP = y, order, -1
@@ -174,7 +172,7 @@ func (s *SeedSynthesizer) proberInit(y dataset.Record, ps *proberState) {
 // too short a prefix to be a possible seed. Because the bucket clamps at
 // hiIdx, agreement beyond σ-position hiIdx cannot change the result and the
 // comparison stops there (hiIdx = m−OmegaLo < m, so the bound is in range).
-func (ps *proberState) agreeBucket(d dataset.Record) int {
+func (ps *Probe) agreeBucket(d dataset.Record) int {
 	// a = length of the σ-prefix on which d and y agree, capped at hiIdx+1.
 	stop := ps.hiIdx + 1
 	a := 0
@@ -194,8 +192,8 @@ func (ps *proberState) agreeBucket(d dataset.Record) int {
 	return j
 }
 
-// proberEval returns Pr{y = M(d)} for the y the state was initialized with.
-func (ps *proberState) proberEval(d dataset.Record) float64 {
+// Prob returns Pr{y = M(d)} for the candidate y the probe was filled for.
+func (ps *Probe) Prob(d dataset.Record) float64 {
 	if ps.constP >= 0 {
 		return ps.constP
 	}
@@ -206,12 +204,12 @@ func (ps *proberState) proberEval(d dataset.Record) float64 {
 	return ps.weight * ps.cum[j]
 }
 
-// initPartitions memoizes, for every value the prober can return, whether
+// initPartitions memoizes, for every value the probe can return, whether
 // it lies in partition `part` — the privacy test's count then needs no
-// logarithms at all. The memo feeds the exact probability values proberEval
+// logarithms at all. The memo feeds the exact probability values Prob
 // would produce through the same PartitionIndex, so the decisions are
 // bit-identical to testing each record individually.
-func (ps *proberState) initPartitions(part int, logGamma float64) {
+func (ps *Probe) initPartitions(part int, logGamma float64) {
 	if ps.constP >= 0 {
 		i, ok := partitionIndexLog(ps.constP, logGamma)
 		ps.constMatch = ps.constP > 0 && ok && i == part
@@ -236,7 +234,7 @@ func (ps *proberState) initPartitions(part int, logGamma float64) {
 // hiIdx. A seed agreeing with y on at least j σ-values falls in a bucket
 // the memo treats like bucket j, so comparing further cannot change its
 // verdict.
-func (ps *proberState) decisive() int {
+func (ps *Probe) decisive() int {
 	top := ps.hiIdx
 	for top > 0 && ps.match[top-1] == ps.match[top] {
 		top--
@@ -244,97 +242,4 @@ func (ps *proberState) decisive() int {
 	return top
 }
 
-// Prober precomputes for the fixed candidate y and returns a closure; the
-// generation pipeline uses proberInit/proberEval directly to reuse state.
-func (s *SeedSynthesizer) Prober(y dataset.Record) func(d dataset.Record) float64 {
-	ps := new(proberState)
-	s.proberInit(y, ps)
-	return ps.proberEval
-}
-
-// MarginalSynthesizer is the baseline of §3.2: every attribute is sampled
-// independently from its marginal distribution, ignoring the seed. Because
-// generation is seed-independent, every record of the input dataset is an
-// equally plausible seed and the privacy test always passes (§8).
-type MarginalSynthesizer struct {
-	// Model supplies the per-attribute marginal distributions.
-	Model *bayesnet.Model
-}
-
-// NewMarginalSynthesizer wraps a model learned over MarginalStructure. It
-// rejects models whose graph has edges, since then per-attribute sampling
-// would not be marginal sampling.
-func NewMarginalSynthesizer(model *bayesnet.Model) (*MarginalSynthesizer, error) {
-	if model.Struct.Graph.NumEdges() != 0 {
-		return nil, fmt.Errorf("core: marginal synthesizer requires an edgeless structure")
-	}
-	return &MarginalSynthesizer{Model: model}, nil
-}
-
-// Generate samples every attribute from its marginal; the seed is unused.
-func (s *MarginalSynthesizer) Generate(_ dataset.Record, r *rng.RNG) dataset.Record {
-	rec := make(dataset.Record, len(s.Model.Meta.Attrs))
-	s.generateInto(rec, nil, r)
-	return rec
-}
-
-// generateInto is Generate without the output allocation; the seed is
-// unused. Like Model.SampleRecord it samples in σ order (which for an
-// edgeless structure is just an attribute enumeration).
-func (s *MarginalSynthesizer) generateInto(dst, _ dataset.Record, r *rng.RNG) {
-	if f := s.Model.Frozen(); f != nil {
-		for _, attr := range s.Model.Struct.Order {
-			dst[attr] = f.SampleAttr(attr, dst, r)
-		}
-		return
-	}
-	for _, attr := range s.Model.Struct.Order {
-		dst[attr] = s.Model.SampleAttr(attr, dst, r)
-	}
-}
-
-// GenProb returns Π_i Pr{y_i}, independent of the seed.
-func (s *MarginalSynthesizer) GenProb(y, _ dataset.Record) float64 {
-	p := 1.0
-	if f := s.Model.Frozen(); f != nil {
-		for attr := range s.Model.Meta.Attrs {
-			p *= f.CondProb(attr, y[attr], y)
-		}
-		return p
-	}
-	for attr := range s.Model.Meta.Attrs {
-		p *= s.Model.CondProb(attr, y[attr], y)
-	}
-	return p
-}
-
-// proberInit fills the state with the constant seed-independent probability.
-func (s *MarginalSynthesizer) proberInit(y dataset.Record, ps *proberState) {
-	ps.constP = s.GenProb(y, nil)
-}
-
-// Prober returns a constant function: all seeds are equally plausible.
-func (s *MarginalSynthesizer) Prober(y dataset.Record) func(d dataset.Record) float64 {
-	p := s.GenProb(y, nil)
-	return func(dataset.Record) float64 { return p }
-}
-
-// hotSynthesizer is the allocation-free fast path the generation pipeline
-// takes when the synthesizer supports it: candidates are generated into a
-// per-worker scratch record and probers reuse per-worker state, so steady
-// state allocates only for records that actually pass the privacy test.
-// Both methods must consume exactly the RNG state and produce exactly the
-// values of their allocating counterparts — the determinism contract of
-// GenerateCtx rides on it.
-type hotSynthesizer interface {
-	Synthesizer
-	generateInto(dst, seed dataset.Record, r *rng.RNG)
-	proberInit(y dataset.Record, ps *proberState)
-}
-
-var (
-	_ Synthesizer    = (*SeedSynthesizer)(nil)
-	_ Synthesizer    = (*MarginalSynthesizer)(nil)
-	_ hotSynthesizer = (*SeedSynthesizer)(nil)
-	_ hotSynthesizer = (*MarginalSynthesizer)(nil)
-)
+var _ Synthesizer = (*SeedSynthesizer)(nil)

@@ -59,6 +59,53 @@ func tinySeeds(t testing.TB, model *bayesnet.Model, n int, seed uint64) *dataset
 	return ds
 }
 
+// generate returns a fresh candidate y = M(seed).
+func generate(syn Synthesizer, seed dataset.Record, r *rng.RNG) dataset.Record {
+	y := make(dataset.Record, len(seed))
+	syn.GenerateInto(y, seed, r)
+	return y
+}
+
+// genProb returns Pr{y = M(d)} through a fresh probe.
+func genProb(syn Synthesizer, y, d dataset.Record) float64 {
+	var p Probe
+	syn.Probe(y, &p)
+	return p.Prob(d)
+}
+
+// marginalSyn is a test-only seed-independent synthesizer with the shape of
+// the "marginal" backend, which package core cannot import: it samples
+// every attribute of an edgeless model from its marginal and fills a
+// constant probe. It reads through the frozen tables when published.
+type marginalSyn struct{ model *bayesnet.Model }
+
+func (s marginalSyn) GenerateInto(dst, _ dataset.Record, r *rng.RNG) {
+	for _, attr := range s.model.Struct.Order {
+		dst[attr] = s.model.SampleAttrFrozen(attr, dst, r)
+	}
+}
+
+func (s marginalSyn) Probe(y dataset.Record, p *Probe) {
+	prob := 1.0
+	for attr := range s.model.Meta.Attrs {
+		prob *= s.model.CondProbFrozen(attr, y[attr], y)
+	}
+	p.SetConstant(prob)
+}
+
+// marginalSynth learns a marginal model from samples of the given model and
+// wraps it in a marginalSyn.
+func marginalSynth(t testing.TB, model *bayesnet.Model) marginalSyn {
+	t.Helper()
+	margModel, err := bayesnet.LearnModel(
+		tinySeeds(t, model, 1000, 77), model.Bkt,
+		bayesnet.MarginalStructure(model.Meta), bayesnet.ModelConfig{Alpha: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return marginalSyn{margModel}
+}
+
 func TestNewSeedSynthesizerValidation(t *testing.T) {
 	model := tinyModel(t, 1)
 	cases := []struct{ lo, hi int }{{0, 1}, {1, 4}, {2, 1}, {-1, 2}}
@@ -82,7 +129,7 @@ func TestGenerateKeepsSeedPrefix(t *testing.T) {
 		}
 		seed := dataset.Record{1, 2, 0}
 		for trial := 0; trial < 200; trial++ {
-			y := syn.Generate(seed, r)
+			y := generate(syn, seed, r)
 			kept := len(seed) - omega
 			for j := 0; j < kept; j++ {
 				attr := model.Struct.Order[j]
@@ -104,10 +151,10 @@ func TestGenProbZeroWhenPrefixDisagrees(t *testing.T) {
 	y := dataset.Record{0, 1, 0}
 	agree := dataset.Record{0, 1, 1}    // agrees on σ-prefix (A, B)
 	disagree := dataset.Record{1, 1, 0} // differs on A
-	if p := syn.GenProb(y, agree); p <= 0 {
+	if p := genProb(syn, y, agree); p <= 0 {
 		t.Fatalf("agreeing seed got probability %g", p)
 	}
-	if p := syn.GenProb(y, disagree); p != 0 {
+	if p := genProb(syn, y, disagree); p != 0 {
 		t.Fatalf("disagreeing seed got probability %g", p)
 	}
 }
@@ -121,32 +168,15 @@ func TestGenProbMonotoneInAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := dataset.Record{0, 1, 1}
-	full := syn.GenProb(y, dataset.Record{0, 1, 1})
-	two := syn.GenProb(y, dataset.Record{0, 1, 0})
-	one := syn.GenProb(y, dataset.Record{0, 2, 0})
-	zero := syn.GenProb(y, dataset.Record{1, 2, 0})
+	full := genProb(syn, y, dataset.Record{0, 1, 1})
+	two := genProb(syn, y, dataset.Record{0, 1, 0})
+	one := genProb(syn, y, dataset.Record{0, 2, 0})
+	zero := genProb(syn, y, dataset.Record{1, 2, 0})
 	if !(full >= two && two >= one && one >= zero) {
 		t.Fatalf("probabilities not monotone in agreement: %g %g %g %g", full, two, one, zero)
 	}
 	if zero <= 0 {
 		t.Fatalf("with omega up to m, every seed should be plausible; got %g", zero)
-	}
-}
-
-func TestProberMatchesGenProb(t *testing.T) {
-	model := tinyModel(t, 6)
-	syn, err := NewSeedSynthesizer(model, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(7)
-	for trial := 0; trial < 200; trial++ {
-		y := model.SampleRecord(r)
-		d := model.SampleRecord(r)
-		prober := syn.Prober(y)
-		if a, b := prober(d), syn.GenProb(y, d); a != b {
-			t.Fatalf("Prober %g != GenProb %g", a, b)
-		}
 	}
 }
 
@@ -165,10 +195,10 @@ func TestGenProbMatchesMonteCarlo(t *testing.T) {
 		const draws = 400000
 		freq := map[string]int{}
 		for i := 0; i < draws; i++ {
-			y := syn.Generate(seed, r)
+			y := generate(syn, seed, r)
 			freq[y.Key()]++
 		}
-		// Check every generated outcome's frequency against GenProb.
+		// Check every generated outcome's frequency against its probability.
 		checked := 0
 		for key, count := range freq {
 			if count < 1000 {
@@ -177,10 +207,10 @@ func TestGenProbMatchesMonteCarlo(t *testing.T) {
 			y := dataset.Record{uint16(key[0]) | uint16(key[1])<<8,
 				uint16(key[2]) | uint16(key[3])<<8,
 				uint16(key[4]) | uint16(key[5])<<8}
-			want := syn.GenProb(y, seed)
+			want := genProb(syn, y, seed)
 			got := float64(count) / draws
 			if math.Abs(got-want)/want > 0.05 {
-				t.Errorf("omega %v: freq(%v) = %.5f, GenProb = %.5f", omegaRange, y, got, want)
+				t.Errorf("omega %v: freq(%v) = %.5f, Pr{y = M(seed)} = %.5f", omegaRange, y, got, want)
 			}
 			checked++
 		}
@@ -203,7 +233,7 @@ func TestGenProbSumsToOneOverUniverse(t *testing.T) {
 		for a := uint16(0); a < 2; a++ {
 			for b := uint16(0); b < 3; b++ {
 				for c := uint16(0); c < 2; c++ {
-					sum += syn.GenProb(dataset.Record{a, b, c}, seed)
+					sum += genProb(syn, dataset.Record{a, b, c}, seed)
 				}
 			}
 		}
@@ -213,32 +243,25 @@ func TestGenProbSumsToOneOverUniverse(t *testing.T) {
 	}
 }
 
-func TestMarginalSynthesizerSeedIndependent(t *testing.T) {
+// TestConstantProbeSeedIndependent pins SetConstant: a constant probe
+// prices every seed alike, and stores a negative or NaN probability as 0.
+func TestConstantProbeSeedIndependent(t *testing.T) {
 	model := tinyModel(t, 11)
-	marg, err := bayesnet.LearnModel(
-		tinySeeds(t, model, 2000, 12), model.Bkt,
-		bayesnet.MarginalStructure(model.Meta), bayesnet.ModelConfig{Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, err := NewMarginalSynthesizer(marg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	syn := marginalSynth(t, model)
 	y := dataset.Record{1, 1, 0}
-	p1 := syn.GenProb(y, dataset.Record{0, 0, 0})
-	p2 := syn.GenProb(y, dataset.Record{1, 2, 1})
+	p1 := genProb(syn, y, dataset.Record{0, 0, 0})
+	p2 := genProb(syn, y, dataset.Record{1, 2, 1})
 	if p1 != p2 {
 		t.Fatalf("marginal synthesizer depends on seed: %g vs %g", p1, p2)
 	}
 	if p1 <= 0 || p1 >= 1 {
 		t.Fatalf("implausible marginal probability %g", p1)
 	}
-}
-
-func TestNewMarginalSynthesizerRejectsStructuredModel(t *testing.T) {
-	model := tinyModel(t, 13)
-	if _, err := NewMarginalSynthesizer(model); err == nil {
-		t.Fatal("structured model accepted as marginal synthesizer")
+	var p Probe
+	for _, bad := range []float64{-1, math.NaN()} {
+		p.SetConstant(bad)
+		if got := p.Prob(y); got != 0 {
+			t.Fatalf("SetConstant(%g): Prob = %g, want 0", bad, got)
+		}
 	}
 }

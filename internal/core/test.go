@@ -109,20 +109,14 @@ type TestResult struct {
 }
 
 // RunTest executes Privacy Test 1 (deterministic) or Privacy Test 2
-// (randomized) on the tuple (M, D, d, y, k, γ[, ε0]).
+// (randomized) on the tuple (M, D, d, y, k, γ[, ε0]). It is the reference
+// implementation the generation kernel's test is pinned against.
 //
 // Records of D are scanned in a pseudo-random cyclic order (random start
 // and coprime stride), matching the tool's randomized iteration (§5), and
 // the scan stops early once the threshold is met, MaxPlausible plausible
 // seeds are found, or MaxCheckPlausible records have been examined.
 func RunTest(syn Synthesizer, data *dataset.Dataset, seed, y dataset.Record, cfg TestConfig, r *rng.RNG) (TestResult, error) {
-	return runTestProbe(syn.Prober(y), data, seed, cfg, r)
-}
-
-// runTestProbe is RunTest over an already-initialized prober for the
-// candidate, letting the generation pipeline reuse per-worker prober state
-// instead of building a fresh closure per candidate.
-func runTestProbe(prob func(d dataset.Record) float64, data *dataset.Dataset, seed dataset.Record, cfg TestConfig, r *rng.RNG) (TestResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return TestResult{}, err
 	}
@@ -131,7 +125,9 @@ func runTestProbe(prob func(d dataset.Record) float64, data *dataset.Dataset, se
 		return TestResult{}, fmt.Errorf("core: privacy test on empty dataset")
 	}
 
-	res := TestResult{SeedProb: prob(seed)}
+	var probe Probe
+	syn.Probe(y, &probe)
+	res := TestResult{SeedProb: probe.Prob(seed)}
 
 	// Step 1/2 of the tests: the partition of the actual seed.
 	part, ok := PartitionIndex(res.SeedProb, cfg.Gamma)
@@ -169,7 +165,7 @@ func runTestProbe(prob func(d dataset.Record) float64, data *dataset.Dataset, se
 	for res.Checked < maxCheck {
 		da := data.Row(idx)
 		res.Checked++
-		if p := prob(da); p > 0 {
+		if p := probe.Prob(da); p > 0 {
 			if i, ok := PartitionIndex(p, cfg.Gamma); ok && i == part {
 				res.PlausibleCount++
 				if float64(res.PlausibleCount) >= res.Threshold || res.PlausibleCount >= maxPlausible {
@@ -216,10 +212,11 @@ func CountPlausibleSeeds(syn Synthesizer, data *dataset.Dataset, y dataset.Recor
 	if !ok {
 		return 0
 	}
-	prob := syn.Prober(y)
+	var probe Probe
+	syn.Probe(y, &probe)
 	count := 0
 	for _, da := range data.Rows() {
-		if q := prob(da); q > 0 {
+		if q := probe.Prob(da); q > 0 {
 			if i, ok := PartitionIndex(q, gamma); ok && i == part {
 				count++
 			}
@@ -238,14 +235,15 @@ func IsPlausiblyDeniable(syn Synthesizer, data *dataset.Dataset, seed, y dataset
 	if k < 1 || gamma < 1 {
 		return false
 	}
-	prob := syn.Prober(y)
-	p1 := prob(seed)
+	var probe Probe
+	syn.Probe(y, &probe)
+	p1 := probe.Prob(seed)
 	if p1 <= 0 {
 		return false
 	}
 	probs := make([]float64, 0, data.Len())
 	for _, da := range data.Rows() {
-		if p := prob(da); p > 0 {
+		if p := probe.Prob(da); p > 0 {
 			probs = append(probs, p)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bayesnet"
 	"repro/internal/dataset"
 	"repro/internal/rng"
 )
@@ -90,8 +89,8 @@ func TestRunTestAgainstExhaustiveCount(t *testing.T) {
 	r := rng.New(22)
 	for trial := 0; trial < 100; trial++ {
 		seed := seeds.Row(r.Intn(seeds.Len()))
-		y := syn.Generate(seed, r)
-		p := syn.GenProb(y, seed)
+		y := generate(syn, seed, r)
+		p := genProb(syn, y, seed)
 		full := CountPlausibleSeeds(syn, seeds, y, p, 2)
 		for _, k := range []int{1, full, full + 1, full * 2} {
 			if k < 1 {
@@ -124,7 +123,7 @@ func TestDeterministicTestImpliesDefinition1(t *testing.T) {
 		passes := 0
 		for trial := 0; trial < 300; trial++ {
 			seed := seeds.Row(r.Intn(seeds.Len()))
-			y := syn.Generate(seed, r)
+			y := generate(syn, seed, r)
 			cfg := TestConfig{K: 20, Gamma: 3}
 			res, err := RunTest(syn, seeds, seed, y, cfg, r)
 			if err != nil {
@@ -155,7 +154,7 @@ func TestRandomizedTestApproachesDeterministic(t *testing.T) {
 	r := rng.New(28)
 	for trial := 0; trial < 100; trial++ {
 		seed := seeds.Row(r.Intn(seeds.Len()))
-		y := syn.Generate(seed, r)
+		y := generate(syn, seed, r)
 		det, err := RunTest(syn, seeds, seed, y, TestConfig{K: 15, Gamma: 2}, rng.New(uint64(trial)))
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +178,7 @@ func TestRandomizedTestThresholdVaries(t *testing.T) {
 	}
 	seeds := tinySeeds(t, model, 100, 30)
 	seed := seeds.Row(0)
-	y := syn.Generate(seed, rng.New(31))
+	y := generate(syn, seed, rng.New(31))
 	thresholds := map[float64]bool{}
 	for trial := 0; trial < 50; trial++ {
 		res, err := RunTest(syn, seeds, seed, y,
@@ -202,7 +201,7 @@ func TestMaxCheckPlausibleCapsScan(t *testing.T) {
 	}
 	seeds := tinySeeds(t, model, 500, 33)
 	seed := seeds.Row(0)
-	y := syn.Generate(seed, rng.New(34))
+	y := generate(syn, seed, rng.New(34))
 	res, err := RunTest(syn, seeds, seed, y,
 		TestConfig{K: 100000, Gamma: 2, MaxCheckPlausible: 50}, rng.New(35))
 	if err != nil {
@@ -217,14 +216,14 @@ func TestMaxCheckPlausibleCapsScan(t *testing.T) {
 }
 
 func TestMaxPlausibleStopsEarly(t *testing.T) {
-	// The marginal synthesizer makes every record a plausible seed, so the
+	// A marginal synthesizer makes every record a plausible seed, so the
 	// count should stop exactly at MaxPlausible (≥ threshold met first,
 	// whichever comes sooner).
 	model := tinyModel(t, 36)
 	marg := marginalSynth(t, model)
 	seeds := tinySeeds(t, model, 500, 37)
 	seed := seeds.Row(0)
-	y := marg.Generate(seed, rng.New(38))
+	y := generate(marg, seed, rng.New(38))
 	res, err := RunTest(marg, seeds, seed, y,
 		TestConfig{K: 10, Gamma: 2, MaxPlausible: 25}, rng.New(39))
 	if err != nil {
@@ -240,23 +239,6 @@ func TestMaxPlausibleStopsEarly(t *testing.T) {
 	if res.PlausibleCount != 10 {
 		t.Fatalf("counted %d, expected to stop at threshold 10", res.PlausibleCount)
 	}
-}
-
-// marginalSynth learns a marginal model from samples of the given model and
-// wraps it in a MarginalSynthesizer.
-func marginalSynth(t testing.TB, model *bayesnet.Model) *MarginalSynthesizer {
-	t.Helper()
-	margModel, err := bayesnet.LearnModel(
-		tinySeeds(t, model, 1000, 77), model.Bkt,
-		bayesnet.MarginalStructure(model.Meta), bayesnet.ModelConfig{Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, err := NewMarginalSynthesizer(margModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return syn
 }
 
 func TestRunTestEmptyDataset(t *testing.T) {
@@ -281,7 +263,7 @@ func TestIsPlausiblyDeniableDirect(t *testing.T) {
 	}
 	seeds := tinySeeds(t, model, 50, 42)
 	seed := seeds.Row(0)
-	y := syn.Generate(seed, rng.New(43))
+	y := generate(syn, seed, rng.New(43))
 	// With ω = m every record has the same generation probability, so
 	// (k, γ)-PD holds for k = |D| and any γ > 1.
 	if !IsPlausiblyDeniable(syn, seeds, seed, y, seeds.Len(), 1.01) {

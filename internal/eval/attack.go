@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/rng"
 )
 
@@ -73,6 +74,8 @@ func RunSeedInference(ctx context.Context, p *Pipeline, om OmegaSpec, candidates
 	res := &AttackResult{Candidates: candidates, BoundReleased: 1 / float64(p.Cfg.K)}
 
 	var sumReleased, sumRejected float64
+	var probe core.Probe
+	y := make(dataset.Record, len(p.DS.Meta.Attrs))
 	for i := 0; i < candidates; i++ {
 		if i%32 == 0 {
 			if err := checkCtx(ctx); err != nil {
@@ -81,7 +84,7 @@ func RunSeedInference(ctx context.Context, p *Pipeline, om OmegaSpec, candidates
 		}
 		seedIdx := r.Intn(p.DS.Len())
 		seed := p.DS.Row(seedIdx)
-		y := syn.Generate(seed, r)
+		syn.GenerateInto(y, seed, r)
 
 		test, err := core.RunTest(syn, p.DS, seed, y, cfg, r)
 		if err != nil {
@@ -89,12 +92,12 @@ func RunSeedInference(ctx context.Context, p *Pipeline, om OmegaSpec, candidates
 		}
 
 		// Maximum-likelihood adversary.
-		prob := syn.Prober(y)
+		syn.Probe(y, &probe)
 		best := -1.0
 		bestCount := 0
 		seedInBest := false
 		for j := 0; j < p.DS.Len(); j++ {
-			q := prob(p.DS.Row(j))
+			q := probe.Prob(p.DS.Row(j))
 			switch {
 			case q > best:
 				best, bestCount = q, 1

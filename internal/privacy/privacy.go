@@ -1,8 +1,8 @@
 // Package privacy implements the differential privacy machinery the paper's
 // generative framework builds on: the Laplace mechanism, the sensitivity
 // bound for empirical entropy (Lemma 1 / eq. 9), the composition theorems of
-// Appendix A, sub-sampling amplification, and the (ε, δ) budget of the
-// plausible deniability mechanism itself (Theorem 1).
+// Appendix A, and the (ε, δ) budget of the plausible deniability mechanism
+// itself (Theorem 1).
 package privacy
 
 import (
@@ -101,22 +101,6 @@ func AdvancedComposition(k int, eps, delta, deltaSlack float64) Budget {
 	return Budget{
 		Epsilon: eps*math.Sqrt(2*kf*math.Log(1/deltaSlack)) + kf*eps*(math.Expm1(eps)),
 		Delta:   kf*delta + deltaSlack,
-	}
-}
-
-// AmplifyBySampling applies the sub-sampling amplification bound (Theorem 4,
-// Li et al.): running an (ε, δ)-DP mechanism on a p-subsample of the data is
-//
-//	(ln(1 + p·(e^ε − 1)),  p·δ)-DP.
-//
-// It panics unless 0 < p <= 1.
-func AmplifyBySampling(b Budget, p float64) Budget {
-	if p <= 0 || p > 1 {
-		panic("privacy: AmplifyBySampling needs p in (0,1]")
-	}
-	return Budget{
-		Epsilon: math.Log1p(p * math.Expm1(b.Epsilon)),
-		Delta:   p * b.Delta,
 	}
 }
 

@@ -119,22 +119,6 @@ func TestAdvancedBeatsSequentialForManySmallEps(t *testing.T) {
 	}
 }
 
-func TestAmplifyBySampling(t *testing.T) {
-	b := AmplifyBySampling(Budget{1, 1e-6}, 0.1)
-	wantEps := math.Log(1 + 0.1*(math.E-1))
-	if math.Abs(b.Epsilon-wantEps) > 1e-12 {
-		t.Fatalf("amplified eps = %g, want %g", b.Epsilon, wantEps)
-	}
-	if math.Abs(b.Delta-1e-7) > 1e-18 {
-		t.Fatalf("amplified delta = %g", b.Delta)
-	}
-	// p = 1 is a no-op.
-	same := AmplifyBySampling(Budget{1, 1e-6}, 1)
-	if math.Abs(same.Epsilon-1) > 1e-12 {
-		t.Fatalf("p=1 amplification changed eps: %g", same.Epsilon)
-	}
-}
-
 func TestReleaseBudgetTheorem1(t *testing.T) {
 	// k=50, γ=4, ε0=1, t=10 → δ=e^-40, ε=1+ln(1.4).
 	b := ReleaseBudget(50, 4, 1, 10)

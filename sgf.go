@@ -85,8 +85,9 @@ type (
 	Synthesizer = core.Synthesizer
 	// SeedSynthesizer is the seed-based synthesis of §3.2.
 	SeedSynthesizer = core.SeedSynthesizer
-	// MarginalSynthesizer is the independent-marginals baseline.
-	MarginalSynthesizer = core.MarginalSynthesizer
+	// Probe is the per-candidate state a Synthesizer fills to price
+	// Pr{y = M(d)} over many seeds d.
+	Probe = core.Probe
 	// TestConfig parameterizes the plausible deniability privacy test.
 	TestConfig = core.TestConfig
 	// TestResult is one privacy-test outcome.

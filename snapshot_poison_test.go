@@ -32,9 +32,10 @@ func poisonMeta(t *testing.T) *dataset.Metadata {
 // craftPayload hand-writes a complete fitted-model payload — version, schema,
 // bucketizer, structure, count tables, seeds, budget, splits — mirroring
 // FittedModel.Encode byte for byte, with attr 0's count vector set to the
-// given values. It is what an attacker who controls snapshot bytes can
-// produce without going through Fit.
-func craftPayload(t *testing.T, meta *dataset.Metadata, attr0Counts []float64) []byte {
+// given values and the retired Gaussian-conditional flag set as given. It is
+// what an attacker who controls snapshot bytes can produce without going
+// through Fit.
+func craftPayload(t *testing.T, meta *dataset.Metadata, attr0Counts []float64, gaussian bool) []byte {
 	t.Helper()
 	g := bayesnet.NewGraph(3)
 	if err := g.AddEdge(0, 1); err != nil {
@@ -56,14 +57,14 @@ func craftPayload(t *testing.T, meta *dataset.Metadata, attr0Counts []float64) [
 	bayesnet.EncodeStructure(ww, st)
 
 	// Model section: learning config, then per-attribute count tables.
-	ww.Float64(1)  // Alpha
-	ww.Int(0)      // Mode = MAPEstimate
-	ww.Bool(false) // DP
-	ww.Float64(0)  // EpsP
-	ww.String("")  // NoiseKey
-	ww.Bool(false) // GaussianNumerical
-	ww.Uvarint(1)  // attr 0: one (empty-parent) configuration
-	ww.Uvarint(0)  //   config index
+	ww.Float64(1)     // Alpha
+	ww.Int(0)         // Mode = MAPEstimate
+	ww.Bool(false)    // DP
+	ww.Float64(0)     // EpsP
+	ww.String("")     // NoiseKey
+	ww.Bool(gaussian) // retired Gaussian-conditional flag
+	ww.Uvarint(1)     // attr 0: one (empty-parent) configuration
+	ww.Uvarint(0)     //   config index
 	ww.Float64s(attr0Counts)
 	for _, card := range []int{3, 4} { // attrs 1 and 2, in order
 		ww.Uvarint(3) // three parent configurations (parent card 3)
@@ -125,13 +126,14 @@ func craftContainer(payload []byte) []byte {
 // test: a hand-crafted v2 snapshot whose count table carries non-finite or
 // implausibly large values must be rejected when it is decoded — at the
 // fitted-model layer and through the store container — instead of producing
-// a model whose materialized parameters panic a serving goroutine later. The
-// valid-counts control pins that the crafted bytes are otherwise well-formed,
-// so the rejections below are about the counts alone.
+// a model whose materialized parameters panic a serving goroutine later. So
+// must one that sets the retired Gaussian-conditional flag. The valid-counts
+// control pins that the crafted bytes are otherwise well-formed, so the
+// rejections below are about the counts and the flag alone.
 func TestCraftedSnapshotRejectsPoisonedCounts(t *testing.T) {
 	meta := poisonMeta(t)
 
-	valid := craftPayload(t, meta, []float64{5, 7, 9})
+	valid := craftPayload(t, meta, []float64{5, 7, 9}, false)
 	fm, err := sgf.DecodeFittedModel(bytes.NewReader(valid))
 	if err != nil {
 		t.Fatalf("control payload rejected: %v", err)
@@ -152,7 +154,7 @@ func TestCraftedSnapshotRejectsPoisonedCounts(t *testing.T) {
 		"huge":     {1e308, 1, 1},
 	} {
 		t.Run(name, func(t *testing.T) {
-			payload := craftPayload(t, meta, counts)
+			payload := craftPayload(t, meta, counts, false)
 			if _, err := sgf.DecodeFittedModel(bytes.NewReader(payload)); err == nil {
 				t.Fatal("poisoned payload accepted by DecodeFittedModel")
 			} else if !strings.Contains(err.Error(), "count") {
@@ -163,4 +165,15 @@ func TestCraftedSnapshotRejectsPoisonedCounts(t *testing.T) {
 			}
 		})
 	}
+	t.Run("gaussian", func(t *testing.T) {
+		payload := craftPayload(t, meta, []float64{5, 7, 9}, true)
+		if _, err := sgf.DecodeFittedModel(bytes.NewReader(payload)); err == nil {
+			t.Fatal("payload with the retired Gaussian flag accepted by DecodeFittedModel")
+		} else if !strings.Contains(err.Error(), "Gaussian") {
+			t.Fatalf("rejection does not name the Gaussian flag: %v", err)
+		}
+		if _, err := store.Decode(craftContainer(payload)); err == nil {
+			t.Fatal("v2 snapshot with the retired Gaussian flag accepted by store.Decode")
+		}
+	})
 }
