@@ -31,10 +31,9 @@ const (
 // the DS seed partition, the spent model budget and the split sizes.
 //
 // The encoding is deterministic: the same fitted model always produces the
-// same bytes, whether or not it has served queries (lazily materialized
-// probability caches are excluded; they are pure functions of what is
-// encoded). A decoded model therefore synthesizes byte-identical output to
-// the original for the same SynthOptions.
+// same bytes (built probability tables are excluded; they are pure
+// functions of what is encoded). A decoded model therefore synthesizes
+// byte-identical output to the original for the same SynthOptions.
 func (fm *FittedModel) Encode(w io.Writer) error {
 	if fm.Gen == nil || fm.Seeds == nil {
 		return fmt.Errorf("sgf: cannot encode incomplete fitted model")
@@ -61,11 +60,10 @@ func (fm *FittedModel) Encode(w io.Writer) error {
 // layer (schema, bucket maps, the backend's model payload, seed records) so
 // a corrupt or hand-crafted payload fails here instead of panicking during
 // synthesis. A payload naming an unregistered backend is rejected. The
-// decoded model's sampling tables are frozen before it is returned —
-// restoring the lock-free serving path Fit set up, and materializing (hence
-// validating) every reachable parameter vector, so a poisoned snapshot that
-// slips past the count checks is still rejected at decode time rather than
-// on a serving goroutine.
+// backend builds (hence validates) every conditional table while decoding,
+// and refuses tables over the size limit, so a poisoned snapshot that slips
+// past the count checks is still rejected here rather than on a serving
+// goroutine.
 func DecodeFittedModel(r io.Reader) (*FittedModel, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -141,9 +139,6 @@ func DecodeFittedModel(r io.Reader) (*FittedModel, error) {
 		fm.Splits[i] = rr.Int()
 	}
 	if err := rr.Done(); err != nil {
-		return nil, fmt.Errorf("sgf: decoding fitted model: %w", err)
-	}
-	if err := fm.Gen.Freeze(0); err != nil {
 		return nil, fmt.Errorf("sgf: decoding fitted model: %w", err)
 	}
 	return fm, nil

@@ -64,8 +64,7 @@ func codecSynth(t testing.TB, fm *sgf.FittedModel) *sgf.Dataset {
 // TestFittedModelRoundTripDeterminism is the snapshot contract: a decoded
 // model synthesizes byte-identically to the model it was encoded from, and
 // encoding is itself deterministic — the same bytes before and after the
-// model has served queries (the lazily materialized parameter cache must
-// not leak into the payload).
+// model has served queries.
 func TestFittedModelRoundTripDeterminism(t *testing.T) {
 	fm := codecFit(t, codecTestData(t, 300))
 
@@ -73,7 +72,7 @@ func TestFittedModelRoundTripDeterminism(t *testing.T) {
 	if err := fm.Encode(&before); err != nil {
 		t.Fatal(err)
 	}
-	out1 := codecSynth(t, fm) // populates the parameter cache
+	out1 := codecSynth(t, fm)
 	var after bytes.Buffer
 	if err := fm.Encode(&after); err != nil {
 		t.Fatal(err)

@@ -70,8 +70,7 @@ type FitData struct {
 
 // Model is a fitted generative model: the unit the registry caches, the
 // store snapshots, and the synthesize path serves from. Implementations
-// must be immutable after Fit/Decode return (Freeze publishes internal
-// tables atomically) and safe for concurrent use.
+// must be immutable after Fit/Decode return and safe for concurrent use.
 type Model interface {
 	// Backend returns the ID of the backend that fitted this model.
 	Backend() string
@@ -88,12 +87,10 @@ type Model interface {
 	// stream) pairs produce identical candidates, which is what makes
 	// generation worker-count independent (core.GenerateCtx).
 	Synthesizer(omegaLo, omegaHi int) (core.Synthesizer, error)
-	// Freeze materializes immutable sampling tables for the serving hot
-	// path, spending at most budget bytes on precomputation (<= 0 = the
-	// backend's default budget). Freezing may change speed, never bytes:
-	// synthesis before and after Freeze must produce identical output (the
-	// conformance suite pins this). Backends whose tables are immutable
-	// from construction may make it a no-op.
+	// Freeze does nothing: Fit and Decode return a model whose tables are
+	// complete. Implementations return nil.
+	//
+	// Deprecated: perfbench is the only caller; delete this once it stops calling it.
 	Freeze(budget int64) error
 	// Encode appends the model's learned state to the writer. The encoding
 	// must be deterministic (same model, same bytes — regardless of what

@@ -112,10 +112,10 @@ func (m *Model) Synthesizer(omegaLo, omegaHi int) (core.Synthesizer, error) {
 	return core.NewSeedSynthesizer(m.M, omegaLo, omegaHi)
 }
 
-// Freeze materializes the model's frozen sampling tables within the byte
-// budget (speed only; output bytes are unchanged — see
-// bayesnet.Model.Freeze).
-func (m *Model) Freeze(budget int64) error { return m.M.Freeze(budget) }
+// Freeze is a no-op: Fit and Decode build every conditional table.
+//
+// Deprecated: perfbench is the only caller; delete this once it stops calling it.
+func (m *Model) Freeze(budget int64) error { return nil }
 
 // Encode appends the learned structure and raw count tables to the writer.
 func (m *Model) Encode(w *wire.Writer) {

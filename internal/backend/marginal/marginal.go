@@ -211,8 +211,9 @@ func (m *Model) Synthesizer(omegaLo, omegaHi int) (core.Synthesizer, error) {
 	return &Synthesizer{m: m}, nil
 }
 
-// Freeze is a no-op: the sampling tables are immutable from construction,
-// so there is nothing to publish.
+// Freeze is a no-op: the sampling tables are immutable from construction.
+//
+// Deprecated: perfbench is the only caller; delete this once it stops calling it.
 func (m *Model) Freeze(budget int64) error { return nil }
 
 // Encode appends the payload version, the learning configuration and the

@@ -12,11 +12,9 @@ import (
 // This file is the bayesnet half of the model snapshot codec (see
 // sgf.FittedModel.Encode and internal/store). A model's learned state is its
 // structure and its raw per-configuration count tables; the materialized
-// probability vectors are NOT encoded — they are a deterministic function of
-// the counts and the hash-seeded noise streams (§5), so a decoded model
-// rematerializes bit-identical parameters on demand. That keeps snapshots
-// small and makes encoding independent of which configurations a previous
-// process happened to query.
+// probability tables are NOT encoded — they are a deterministic function of
+// the counts and the hash-seeded noise streams (§5), so decoding rebuilds
+// bit-identical tables. That keeps snapshots small.
 
 // maxSnapshotCount bounds each persisted count. 2^50 rows is far beyond any
 // dataset this system ingests, while keeping every per-configuration total
@@ -149,9 +147,10 @@ func EncodeModel(w *wire.Writer, m *Model) {
 
 // DecodeModel reads a model written by EncodeModel over the given schema,
 // bucketizer and structure, validating every count vector against the
-// attribute cardinalities and configuration counts. The decoded model
-// materializes the same probability vectors as the encoded one: counts are
-// bit-exact and the noise streams are keyed by (NoiseKey, attr, config).
+// attribute cardinalities and configuration counts, and builds its tables
+// (refusing tables over MaxTableBytes before reading any count). The
+// decoded model has the same probability tables as the encoded one: counts
+// are bit-exact and the noise streams are keyed by (NoiseKey, attr, config).
 func DecodeModel(r *wire.Reader, meta *dataset.Metadata, bkt *dataset.Bucketizer, st *Structure) (*Model, error) {
 	var cfg ModelConfig
 	cfg.Alpha = r.Float64()
@@ -223,6 +222,9 @@ func DecodeModel(r *wire.Reader, meta *dataset.Metadata, bkt *dataset.Bucketizer
 			}
 			model.counts[i][uint32(c)] = vec
 		}
+	}
+	if err := model.build(); err != nil {
+		return nil, err
 	}
 	return model, nil
 }

@@ -3,8 +3,6 @@ package bayesnet
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
@@ -46,8 +44,8 @@ type ModelConfig struct {
 
 // Model is the learned generative model of eq. (2): a structure G̃ plus
 // per-attribute conditional probability tables over bucketized parent
-// configurations (eq. 7). Parameter vectors are materialized lazily per
-// configuration and cached; the model is safe for concurrent use.
+// configurations (eq. 7). LearnModel and DecodeModel build every table
+// before they return, so a model is immutable and safe for concurrent use.
 type Model struct {
 	Meta   *dataset.Metadata
 	Bkt    *dataset.Bucketizer
@@ -63,20 +61,16 @@ type Model struct {
 	// over attribute i's values. Configurations absent from the training
 	// data are simply missing (all-zero counts).
 	counts []map[uint32][]float64
-	// params[i] caches materialized probability vectors per configuration.
-	params []map[uint32][]float64
-	mu     []sync.RWMutex
-
-	// frozen, once published by Freeze, holds immutable flat sampling tables
-	// for every reachable configuration; the serving path reads it with a
-	// single atomic load and never touches mu (see freeze.go).
-	frozen atomic.Pointer[Frozen]
+	// tables[i] holds attribute i's conditional tables (see tables.go).
+	tables []table
+	bytes  int64
 }
 
 // newEmptyModel builds a model shell over the given schema, bucketizer and
-// structure — config normalized, radix tables and empty count/parameter maps
-// in place — ready for LearnModel to tally counts into, or for the snapshot
-// codec to fill with persisted counts.
+// structure — config normalized, radix tables and empty count maps in place
+// — ready for LearnModel to tally counts into, or for the snapshot codec to
+// fill with persisted counts; both then call build. It refuses a structure
+// whose tables would exceed MaxTableBytes before anything is allocated.
 func newEmptyModel(meta *dataset.Metadata, bkt *dataset.Bucketizer, st *Structure, cfg ModelConfig) (*Model, error) {
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 1
@@ -96,27 +90,30 @@ func newEmptyModel(meta *dataset.Metadata, bkt *dataset.Bucketizer, st *Structur
 		radix:      make([][]int, m),
 		numConfigs: make([]uint32, m),
 		counts:     make([]map[uint32][]float64, m),
-		params:     make([]map[uint32][]float64, m),
-		mu:         make([]sync.RWMutex, m),
 	}
 	for i := 0; i < m; i++ {
 		ps := st.Graph.Parents[i]
 		model.radix[i] = make([]int, len(ps))
-		nc := uint32(1)
+		// Clamping the configuration count keeps every product and byte
+		// count far below int64 overflow, and refuses a count that would wrap
+		// uint32: a clamped count alone needs more than MaxTableBytes.
+		nc := int64(1)
 		for pi, p := range ps {
 			model.radix[i][pi] = bkt.Card(p)
-			nc *= uint32(bkt.Card(p))
+			nc = min(nc*int64(bkt.Card(p)), MaxTableBytes+1)
 		}
-		model.numConfigs[i] = nc
+		if model.bytes += tableBytes(nc, meta.Attrs[i].Card()); model.bytes > MaxTableBytes {
+			return nil, fmt.Errorf("bayesnet: conditional tables exceed the %d MiB limit at attribute %q; lower max_cost",
+				MaxTableBytes>>20, meta.Attrs[i].Name)
+		}
+		model.numConfigs[i] = uint32(nc)
 		model.counts[i] = make(map[uint32][]float64)
-		model.params[i] = make(map[uint32][]float64)
 	}
 	return model, nil
 }
 
 // LearnModel tallies the parameter-learning split DP into per-configuration
-// count vectors and returns a ready-to-query model. The heavy part — noise
-// and normalization — happens lazily per configuration.
+// count vectors and builds the model's conditional tables from them.
 func LearnModel(dp *dataset.Dataset, bkt *dataset.Bucketizer, st *Structure, cfg ModelConfig) (*Model, error) {
 	model, err := newEmptyModel(dp.Meta, bkt, st, cfg)
 	if err != nil {
@@ -136,6 +133,9 @@ func LearnModel(dp *dataset.Dataset, bkt *dataset.Bucketizer, st *Structure, cfg
 			cv[rec[i]]++
 		}
 	}
+	if err := model.build(); err != nil {
+		return nil, err
+	}
 	return model, nil
 }
 
@@ -154,90 +154,73 @@ func (m *Model) ConfigIndex(attr int, rec dataset.Record) uint32 {
 // (#c in eq. 12; bounded by maxcost via eq. 6).
 func (m *Model) NumConfigs(attr int) uint32 { return m.numConfigs[attr] }
 
-// paramsFor returns (materializing if needed) the probability vector of
-// attribute attr under parent configuration c.
-func (m *Model) paramsFor(attr int, c uint32) []float64 {
-	m.mu[attr].RLock()
-	p := m.params[attr][c]
-	m.mu[attr].RUnlock()
-	if p != nil {
-		return p
-	}
-	m.mu[attr].Lock()
-	defer m.mu[attr].Unlock()
-	if p = m.params[attr][c]; p != nil { // lost the race; someone built it
-		return p
-	}
-	p = m.materialize(attr, c)
-	m.params[attr][c] = p
-	return p
-}
-
-// materialize builds the probability vector for one configuration: raw
-// counts → optional Laplace randomization (eq. 14) → MAP estimate (eq. 13)
-// or a posterior Dirichlet sample (eq. 12). All noise and sampling come
-// from a stream seeded by a hash of (NoiseKey, attr, config), so the result
-// is a deterministic function of the configuration (§5).
-func (m *Model) materialize(attr int, c uint32) []float64 {
-	card := m.Meta.Attrs[attr].Card()
-	counts := make([]float64, card)
-	if raw := m.counts[attr][c]; raw != nil {
-		copy(counts, raw)
-	}
+// materialize writes the probability vector of one configuration into dst
+// (length card): raw counts → optional Laplace randomization (eq. 14) → MAP
+// estimate (eq. 13) or a posterior Dirichlet sample (eq. 12). All noise and
+// sampling come from a stream seeded by a hash of (NoiseKey, attr, config),
+// so the result is a deterministic function of the configuration (§5).
+func (m *Model) materialize(attr int, c uint32, dst []float64) {
+	clear(dst)
+	copy(dst, m.counts[attr][c])
 	stream := rng.NewHashed(m.cfg.NoiseKey, "attr", itoa(attr), "config", utoa(c))
 	if m.cfg.DP {
-		for l := range counts {
-			counts[l] += stream.Laplace(1 / m.cfg.EpsP)
-			if counts[l] < 0 {
-				counts[l] = 0
+		for l := range dst {
+			dst[l] += stream.Laplace(1 / m.cfg.EpsP)
+			if dst[l] < 0 {
+				dst[l] = 0
 			}
 		}
 	}
-	probs := make([]float64, card)
 	switch m.cfg.Mode {
 	case PosteriorSample:
-		alpha := make([]float64, card)
-		for l := range alpha {
-			alpha[l] = m.cfg.Alpha + counts[l]
+		for l := range dst {
+			dst[l] += m.cfg.Alpha
 		}
-		copy(probs, stream.Dirichlet(alpha))
+		copy(dst, stream.Dirichlet(dst))
 	default: // MAPEstimate, eq. (13)
 		total := 0.0
-		for l := range counts {
-			total += m.cfg.Alpha + counts[l]
+		for l := range dst {
+			total += m.cfg.Alpha + dst[l]
 		}
-		for l := range counts {
-			probs[l] = (m.cfg.Alpha + counts[l]) / total
+		for l := range dst {
+			dst[l] = (m.cfg.Alpha + dst[l]) / total
 		}
 	}
-	return probs
 }
 
 // CondProb returns Pr{x_attr = value | parents(rec)} — the conditional of
 // eq. (2) with the approximation of eq. (7).
 func (m *Model) CondProb(attr int, value uint16, rec dataset.Record) float64 {
-	return m.paramsFor(attr, m.ConfigIndex(attr, rec))[value]
+	t := &m.tables[attr]
+	return t.probs[int64(m.ConfigIndex(attr, rec))*int64(t.card)+int64(value)]
 }
 
 // CondDist returns the full conditional distribution of the attribute given
 // the record's parent values. The returned slice is shared; callers must
 // not modify it.
 func (m *Model) CondDist(attr int, rec dataset.Record) []float64 {
-	return m.paramsFor(attr, m.ConfigIndex(attr, rec))
+	return m.tables[attr].row(m.ConfigIndex(attr, rec))
 }
 
 // SampleAttr samples a value for the attribute conditioned on the record's
-// parent values (eq. 3).
+// parent values (eq. 3), consuming the RNG state of, and returning the value
+// of, r.Categorical over CondDist.
 func (m *Model) SampleAttr(attr int, rec dataset.Record, r *rng.RNG) uint16 {
-	return uint16(r.Categorical(m.CondDist(attr, rec)))
+	t := &m.tables[attr]
+	c := int64(m.ConfigIndex(attr, rec))
+	row := c * int64(t.card)
+	cum := t.cum[row : row+int64(t.card)]
+	if t.guide != nil {
+		goff := c * int64(t.gslots)
+		return uint16(r.DrawCumGuided(cum, t.guide[goff:goff+int64(t.gslots)]))
+	}
+	return uint16(r.DrawCum(cum))
 }
 
 // SampleRecord draws a full record by ancestral sampling in σ order.
 func (m *Model) SampleRecord(r *rng.RNG) dataset.Record {
 	rec := make(dataset.Record, len(m.Meta.Attrs))
-	for _, attr := range m.Struct.Order {
-		rec[attr] = m.SampleAttr(attr, rec, r)
-	}
+	m.SampleChain(rec, m.Struct.Order, 0, r)
 	return rec
 }
 
@@ -290,9 +273,7 @@ func (m *Model) MostLikely(attr int, rec dataset.Record) uint16 {
 // root attribute (no parents). For attributes with parents it returns the
 // conditional under configuration 0; callers wanting true marginals should
 // build a model over MarginalStructure.
-func (m *Model) MarginalDist(attr int) []float64 {
-	return m.paramsFor(attr, 0)
-}
+func (m *Model) MarginalDist(attr int) []float64 { return m.tables[attr].row(0) }
 
 func itoa(v int) string { return utoa(uint32(v)) }
 

@@ -203,7 +203,7 @@ func TestPosteriorSampleDeterministicPerConfig(t *testing.T) {
 	}
 	rec := dataset.Record{1, 1, 0}
 	p1 := m.CondProb(2, 0, rec)
-	p2 := m.CondProb(2, 0, rec) // second query hits the cache
+	p2 := m.CondProb(2, 0, rec)
 	if p1 != p2 {
 		t.Fatal("posterior-sampled parameters changed between queries")
 	}

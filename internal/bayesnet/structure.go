@@ -10,10 +10,14 @@ import (
 	"repro/internal/stats"
 )
 
+// DefaultMaxCost is the eq. (6) cap on an attribute's parent-bucket
+// configurations when StructureConfig.MaxCost is zero.
+const DefaultMaxCost = 128
+
 // StructureConfig controls CFS structure learning (§3.3).
 type StructureConfig struct {
 	// MaxCost caps the number of joint parent-bucket configurations per
-	// attribute, the constraint of eq. (6). Zero means 2^20.
+	// attribute, the constraint of eq. (6). Zero means DefaultMaxCost.
 	MaxCost float64
 	// MaxParents optionally caps the parent-set size (0 = no cap).
 	MaxParents int
@@ -188,7 +192,7 @@ func LearnStructureFromEntropies(meta *dataset.Metadata, bkt *dataset.Bucketizer
 	m := len(meta.Attrs)
 	maxCost := cfg.MaxCost
 	if maxCost <= 0 {
-		maxCost = 1 << 20
+		maxCost = DefaultMaxCost
 	}
 	maxParents := cfg.MaxParents
 	if maxParents <= 0 {

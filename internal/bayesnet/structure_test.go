@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/acs"
 	"repro/internal/dataset"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -115,21 +116,37 @@ func TestLearnStructureFindsChain(t *testing.T) {
 	}
 }
 
+// TestLearnStructureMaxCost checks the eq. (6) cap on parent-bucket
+// configurations: an explicit cap, and the zero value, which means
+// DefaultMaxCost. The zero-value case runs on ACS data, where a far larger
+// cap lets some attribute take more than DefaultMaxCost configurations.
 func TestLearnStructureMaxCost(t *testing.T) {
-	ds := chainData(t, 2000, 3)
-	bkt := dataset.NewBucketizer(ds.Meta)
-	st, err := LearnStructure(ds, bkt, StructureConfig{MaxCost: 4, MinCorr: 0.01})
-	if err != nil {
-		t.Fatal(err)
+	maxCost := func(ds *dataset.Dataset, cfg StructureConfig) float64 {
+		t.Helper()
+		bkt := dataset.NewBucketizer(ds.Meta)
+		st, err := LearnStructure(ds, bkt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := 1.0
+		for _, ps := range st.Graph.Parents {
+			cost := 1.0
+			for _, p := range ps {
+				cost *= float64(bkt.Card(p))
+			}
+			most = math.Max(most, cost)
+		}
+		return most
 	}
-	for i, ps := range st.Graph.Parents {
-		cost := 1.0
-		for _, p := range ps {
-			cost *= float64(bkt.Card(p))
-		}
-		if cost > 4 {
-			t.Errorf("attribute %d parent cost %g exceeds maxcost 4", i, cost)
-		}
+	if got := maxCost(chainData(t, 2000, 3), StructureConfig{MaxCost: 4, MinCorr: 0.01}); got > 4 {
+		t.Errorf("parent cost %g exceeds maxcost 4", got)
+	}
+	census := acs.NewPopulation().Generate(rng.New(3), 2000)
+	if got := maxCost(census, StructureConfig{MaxCost: 1 << 20, MinCorr: 0.01}); got <= DefaultMaxCost {
+		t.Fatalf("uncapped ACS structure peaks at %g configurations; the default case would be vacuous", got)
+	}
+	if got := maxCost(census, StructureConfig{MinCorr: 0.01}); got > DefaultMaxCost {
+		t.Errorf("MaxCost 0 allowed parent cost %g, want at most %d", got, DefaultMaxCost)
 	}
 }
 

@@ -34,9 +34,9 @@ func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint6
 	return rows, stats
 }
 
-// batchMechs builds the mechanisms the batch-identity matrix runs over, all
-// on frozen models so the batched kernel (sorted seed table, fused
-// sampling, arena) is what executes: for the seed synthesizer, a
+// batchMechs builds the mechanisms the batch-identity matrix runs over, so
+// the batched kernel (sorted seed table, fused sampling, arena) is what
+// executes: for the seed synthesizer, a
 // deterministic one whose cap selects the per-record walk and two uncapped
 // randomized ones whose test counts exactly, the second at paper
 // parameters; for a constant probe (marginalSyn), an uncapped randomized
@@ -44,9 +44,6 @@ func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint6
 func batchMechs(t *testing.T) map[string]*Mechanism {
 	t.Helper()
 	model := benchModel(t, 21)
-	if err := model.Freeze(0); err != nil {
-		t.Fatal(err)
-	}
 	syn, err := NewSeedSynthesizer(model, 9, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +61,6 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 		out[name] = mech
 	}
 	marg := marginalSyn{marginalModel(t, model)}
-	if err := marg.model.Freeze(0); err != nil {
-		t.Fatal(err)
-	}
 	// K near |D| with a noisy threshold, so candidates pass and fail.
 	margSeeds := tinySeeds(t, model, 40, 24)
 	for name, tc := range map[string]TestConfig{
@@ -83,14 +77,11 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 }
 
 // paperMech is an uncapped mechanism at the §6.1 test parameters (k = 50,
-// γ = 4, randomized with ε₀ = 1, ω ∈ [5, 11]) over 2,400 seeds on a frozen
-// model, so its privacy test takes the exact-count path.
+// γ = 4, randomized with ε₀ = 1, ω ∈ [5, 11]) over 2,400 seeds, so its
+// privacy test takes the exact-count path.
 func paperMech(t testing.TB) *Mechanism {
 	t.Helper()
 	model := benchModel(t, 21)
-	if err := model.Freeze(0); err != nil {
-		t.Fatal(err)
-	}
 	syn, err := NewSeedSynthesizer(model, 5, 11)
 	if err != nil {
 		t.Fatal(err)

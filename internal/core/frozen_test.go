@@ -54,88 +54,6 @@ func benchModel(t testing.TB, seed uint64) *bayesnet.Model {
 	return model
 }
 
-// TestFrozenGenerateByteIdentical is the pipeline half of the determinism
-// suite: a frozen model and an unfrozen model must release byte-identical
-// sequences with identical stats, for every worker count, for both
-// synthesizer kinds.
-func TestFrozenGenerateByteIdentical(t *testing.T) {
-	type variant struct {
-		name string
-		mech *Mechanism
-	}
-	build := func(t *testing.T, marginal bool) []variant {
-		vs := make([]variant, 0, 2)
-		for _, v := range []string{"lazy", "frozen"} {
-			var model *bayesnet.Model
-			var syn Synthesizer
-			var err error
-			if marginal {
-				model = marginalModel(t, benchModel(t, 21))
-				syn = marginalSyn{model}
-			} else {
-				model = benchModel(t, 21)
-				syn, err = NewSeedSynthesizer(model, 9, 11)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v == "frozen" {
-				if err := model.Freeze(0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			seeds := tinySeeds(t, model, 300, 22)
-			mech, err := NewMechanism(syn, seeds, TestConfig{K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs = append(vs, variant{v, mech})
-		}
-		return vs
-	}
-	for _, marginal := range []bool{false, true} {
-		name := "seedbased"
-		if marginal {
-			name = "marginal"
-		}
-		t.Run(name, func(t *testing.T) {
-			vs := build(t, marginal)
-			var wantRows []dataset.Record
-			var wantStats GenStats
-			for _, v := range vs {
-				for _, workers := range []int{1, 3, 8} {
-					out, stats, err := GenerateCtx(context.Background(), v.mech, GenConfig{
-						Candidates: 800, Workers: workers, Seed: 99,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wantRows == nil {
-						wantRows, wantStats = out.Rows(), stats
-						continue
-					}
-					rows := out.Rows()
-					if len(rows) != len(wantRows) {
-						t.Fatalf("%s workers=%d: released %d records, want %d", v.name, workers, len(rows), len(wantRows))
-					}
-					for i := range rows {
-						for j := range rows[i] {
-							if rows[i][j] != wantRows[i][j] {
-								t.Fatalf("%s workers=%d: record %d attr %d = %d, want %d",
-									v.name, workers, i, j, rows[i][j], wantRows[i][j])
-							}
-						}
-					}
-					if stats.Released != wantStats.Released || stats.Candidates != wantStats.Candidates ||
-						stats.SeedRejected != wantStats.SeedRejected || stats.CheckedTotal != wantStats.CheckedTotal {
-						t.Fatalf("%s workers=%d: stats %+v, want %+v", v.name, workers, stats, wantStats)
-					}
-				}
-			}
-		})
-	}
-}
-
 // marginalModel relearns the model's data-free marginal counterpart over an
 // edgeless structure, for marginalSyn.
 func marginalModel(t testing.TB, src *bayesnet.Model) *bayesnet.Model {
@@ -275,7 +193,7 @@ func TestStreamBatchSliceReuse(t *testing.T) {
 // records/sec-per-core number in cmd/sgfd's README divides by PassRate).
 func benchmarkGenerate(b *testing.B, mech *Mechanism) {
 	// Sized so one op sits well above the CI gate's noise floor (~15ms even
-	// on the frozen path).
+	// on the fast path).
 	const candidates = 10000
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -297,9 +215,6 @@ func benchmarkGenerate(b *testing.B, mech *Mechanism) {
 
 func benchMech(b *testing.B) *Mechanism {
 	model := benchModel(b, 21)
-	if err := model.Freeze(0); err != nil {
-		b.Fatal(err)
-	}
 	syn, err := NewSeedSynthesizer(model, 9, 11)
 	if err != nil {
 		b.Fatal(err)
@@ -316,8 +231,9 @@ func benchMech(b *testing.B) *Mechanism {
 	return mech
 }
 
-// BenchmarkGenerateFrozen is the full fast path: frozen tables + per-worker
-// scratch reuse.
+// BenchmarkGenerateFrozen is the capped hot path: fused table sampling,
+// per-worker scratch reuse and the per-record walk. The name predates the
+// single table representation; bench/baseline.json keys on it.
 func BenchmarkGenerateFrozen(b *testing.B) {
 	benchmarkGenerate(b, benchMech(b))
 }

@@ -61,22 +61,11 @@ func NewSeedSynthesizer(model *bayesnet.Model, omegaLo, omegaHi int) (*SeedSynth
 
 // GenerateInto implements eq. (3): it copies the seed into dst, then
 // re-samples the last ω attributes in σ order, each conditioned on the
-// current (partially updated) record. It draws through the model's frozen
-// tables when published — same RNG consumption, same values, no locks (see
-// bayesnet/freeze.go).
+// current (partially updated) record (bayesnet.Model.SampleChain).
 func (s *SeedSynthesizer) GenerateInto(dst, seed dataset.Record, r *rng.RNG) {
-	m := len(seed)
 	omega := s.OmegaLo + r.Intn(s.OmegaHi-s.OmegaLo+1)
 	copy(dst, seed)
-	order := s.Model.Struct.Order
-	if f := s.Model.Frozen(); f != nil {
-		f.SampleChain(dst, order, m-omega, r)
-		return
-	}
-	for idx := m - omega; idx < m; idx++ {
-		attr := order[idx]
-		dst[attr] = s.Model.SampleAttr(attr, dst, r)
-	}
+	s.Model.SampleChain(dst, s.Model.Struct.Order, len(seed)-omega, r)
 }
 
 // Probe holds a Synthesizer's precomputation for one candidate y, so that
@@ -140,22 +129,13 @@ func grow(buf []float64, n int) []float64 {
 //
 // The probe keeps the conditional tail products and their partial mixture
 // sums, so each seed evaluation costs one σ-prefix comparison plus a table
-// lookup. Conditionals are read through the frozen tables when published —
-// the identical float64 values the lazy path materializes.
+// lookup.
 func (s *SeedSynthesizer) Probe(y dataset.Record, ps *Probe) {
 	m := len(y)
 	order := s.Model.Struct.Order
 	ps.y, ps.order, ps.constP = y, order, -1
 	ps.tail = grow(ps.tail, m+1)
-	if f := s.Model.Frozen(); f != nil {
-		f.TailProducts(y, order, ps.tail)
-	} else {
-		ps.tail[m] = 1
-		for idx := m - 1; idx >= 0; idx-- {
-			attr := order[idx]
-			ps.tail[idx] = ps.tail[idx+1] * s.Model.CondProb(attr, y[attr], y)
-		}
-	}
+	s.Model.TailProducts(y, order, ps.tail)
 	// Keep positions idx = m−ω for ω ∈ [lo, hi] run over [m−hi, m−lo].
 	ps.loIdx, ps.hiIdx = m-s.OmegaHi, m-s.OmegaLo
 	ps.cum = grow(ps.cum, ps.hiIdx+1)

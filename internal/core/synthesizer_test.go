@@ -76,19 +76,19 @@ func genProb(syn Synthesizer, y, d dataset.Record) float64 {
 // marginalSyn is a test-only seed-independent synthesizer with the shape of
 // the "marginal" backend, which package core cannot import: it samples
 // every attribute of an edgeless model from its marginal and fills a
-// constant probe. It reads through the frozen tables when published.
+// constant probe.
 type marginalSyn struct{ model *bayesnet.Model }
 
 func (s marginalSyn) GenerateInto(dst, _ dataset.Record, r *rng.RNG) {
 	for _, attr := range s.model.Struct.Order {
-		dst[attr] = s.model.SampleAttrFrozen(attr, dst, r)
+		dst[attr] = s.model.SampleAttr(attr, dst, r)
 	}
 }
 
 func (s marginalSyn) Probe(y dataset.Record, p *Probe) {
 	prob := 1.0
 	for attr := range s.model.Meta.Attrs {
-		prob *= s.model.CondProbFrozen(attr, y[attr], y)
+		prob *= s.model.CondProb(attr, y[attr], y)
 	}
 	p.SetConstant(prob)
 }

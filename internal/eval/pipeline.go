@@ -93,12 +93,12 @@ type Config struct {
 	// MaxPlausible / MaxCheckPlausible are the §5 early-exit knobs.
 	MaxPlausible      int
 	MaxCheckPlausible int
-	// MaxCost caps parent-set complexity (eq. 6). Zero means 128. The cap
-	// interacts with the DP noise: parameter learning adds Laplace noise of
-	// scale 1/εp (≈ 22 at a total model budget of ε = 1 over 11
-	// attributes) to every per-configuration count, so the records-per-
-	// configuration ratio |DP|/maxcost must stay well above that scale for
-	// the conditionals to carry signal.
+	// MaxCost caps parent-set complexity (eq. 6). Zero means
+	// bayesnet.DefaultMaxCost, 128. The cap interacts with the DP noise:
+	// parameter learning adds Laplace noise of scale 1/εp (≈ 22 at a total
+	// model budget of ε = 1 over 11 attributes) to every per-configuration
+	// count, so the records-per-configuration ratio |DP|/maxcost must stay
+	// well above that scale for the conditionals to carry signal.
 	MaxCost float64
 	// Workers bounds generation parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -173,9 +173,6 @@ func BuildPipelineCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*
 	if len(cfg.Omegas) == 0 {
 		cfg.Omegas = DefaultOmegas()
 	}
-	if cfg.MaxCost <= 0 {
-		cfg.MaxCost = 128
-	}
 	r := rng.New(cfg.Seed)
 
 	progress.report("simulate", 0)
@@ -233,15 +230,6 @@ func BuildPipelineCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*
 		NoiseKey: fmt.Sprintf("marginal-%d", cfg.Seed),
 	})
 	if err != nil {
-		return nil, err
-	}
-	// Freeze both models' sampling tables: every ω variant and the marginals
-	// baseline below synthesize against them, so the whole evaluation runs on
-	// the lock-free frozen path.
-	if err := p.Model.Freeze(0); err != nil {
-		return nil, err
-	}
-	if err := p.MarginalModel.Freeze(0); err != nil {
 		return nil, err
 	}
 	p.Gen = bayes.New(p.Model, p.Structure)

@@ -60,9 +60,10 @@ func New(seed uint64) *RNG {
 }
 
 // NewHashed returns a generator whose seed is derived by hashing the given
-// parts with FNV-64a. It is the stream-derivation primitive used for lazy
-// differentially private parameter learning: every worker that asks for the
-// stream of the same configuration key obtains the same noise.
+// parts with FNV-64a. It is the stream-derivation primitive used for
+// per-configuration differentially private parameter learning: every caller
+// that asks for the stream of the same configuration key obtains the same
+// noise.
 func NewHashed(parts ...string) *RNG {
 	h := fnv.New64a()
 	for _, p := range parts {

@@ -6,16 +6,16 @@ import (
 )
 
 // This file provides the precomputed-table draw primitives behind the
-// bayesnet freeze step: exact cumulative-probability rows (with an optional
-// guide index for O(1) expected draws) and Walker alias tables.
+// bayesnet conditional tables: exact cumulative-probability rows (with an
+// optional guide index for O(1) expected draws) and Walker alias tables.
 //
 // The two have different contracts. DrawCum/DrawCumGuided compute the exact
 // same u → index mapping as Categorical — first index i with
 // u·total < cum[i], evaluated with the identical floating-point
 // expressions — so a table-backed draw consumes the same RNG state and
 // returns the same value as the linear scan it replaces. That is what lets
-// the frozen sampling path promise byte-identical output to the lazy
-// locked path. A Walker alias table preserves the *distribution* but not
+// the table-backed sampling path promise the bytes of a plain Categorical
+// draw. A Walker alias table preserves the *distribution* but not
 // the mapping (it repartitions [0,1) into equal columns), so it can never
 // be substituted on a stream-determinism-pinned path; it is provided for
 // workloads that only need distributional equality.
@@ -25,7 +25,8 @@ import (
 // Unlike Categorical, which panics (its callers are trusted hot paths),
 // builders return errors so that poisoned parameters — e.g. counts from a
 // hostile snapshot that materialize to NaN or all-zero vectors — are
-// rejected at freeze/decode time instead of panicking a serving goroutine.
+// rejected when a model is built or decoded instead of panicking a serving
+// goroutine.
 func errWeights(weights []float64) (total float64, err error) {
 	if len(weights) == 0 {
 		return 0, fmt.Errorf("rng: sampling table with no weights")

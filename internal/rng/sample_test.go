@@ -25,7 +25,7 @@ func randomWeights(r *RNG, n int) []float64 {
 }
 
 // TestDrawCumMatchesCategorical pins the byte-identical contract the
-// frozen sampling path depends on: for the same RNG state, DrawCum and
+// table-backed sampling path depends on: for the same RNG state, DrawCum and
 // DrawCumGuided return exactly what Categorical returns, across sizes well
 // above and below the guide crossover.
 func TestDrawCumMatchesCategorical(t *testing.T) {
@@ -84,7 +84,7 @@ func TestDrawCumGuidedDegenerate(t *testing.T) {
 	}
 }
 
-// TestBuildCumRejectsPoisoned covers the freeze/decode-time validation:
+// TestBuildCumRejectsPoisoned covers the build/decode-time validation:
 // poisoned weight vectors must yield errors, never panics.
 func TestBuildCumRejectsPoisoned(t *testing.T) {
 	cases := [][]float64{

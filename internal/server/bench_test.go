@@ -57,8 +57,8 @@ func TestSynthesizeTrailerLedgerAgree(t *testing.T) {
 }
 
 // benchmarkSynthesize measures the full handler-to-trailer /synthesize path
-// — JSON decode, ledger admission, worker grant, generation over the frozen
-// model, NDJSON encoding, HTTP chunking — against a fitted model.
+// — JSON decode, ledger admission, worker grant, generation over the
+// model's tables, NDJSON encoding, HTTP chunking — against a fitted model.
 func benchmarkSynthesize(b *testing.B, ts *httptest.Server, records int) {
 	id := fitTestModel(b, ts)
 	req := map[string]any{"records": records, "k": 3, "gamma": 8, "seed": 42, "workers": 4}

@@ -15,6 +15,7 @@ import (
 
 	sgf "repro"
 	"repro/internal/acs"
+	"repro/internal/bayesnet"
 	"repro/internal/buildinfo"
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -262,6 +263,12 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request, tn *tenant.Id
 		Backend:    backendID,
 		Seed:       req.Seed,
 	}
+	// Key on the effective cap: omitting max_cost and sending the default
+	// then share one model, and a snapshot stored when an omitted cap meant
+	// something else is never served for a new request.
+	if opts.MaxCost <= 0 {
+		opts.MaxCost = bayesnet.DefaultMaxCost
+	}
 	fmt.Fprintf(hash, "|eps=%g|delta=%g|maxcost=%g|seed=%d",
 		opts.ModelEps, opts.ModelDelta, opts.MaxCost, opts.Seed)
 	// The default backend is deliberately NOT part of the key, so cache
@@ -382,7 +389,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 	sc := &stageClock{tr: traceFrom(r.Context())}
 
 	// load_model covers the registry lookup including a lazy store load of a
-	// non-resident snapshot — the freeze/lazy-load stage.
+	// non-resident snapshot.
 	endStage := sc.start("load_model")
 	entry, ok := s.getModelFor(id, tn)
 	endStage()

@@ -304,6 +304,32 @@ func TestFitCacheDeduplicates(t *testing.T) {
 	if fit2.Cached || fit2.ID == id1 {
 		t.Fatalf("different seed reused cache entry %s", fit2.ID)
 	}
+	// Both fits run in the background and write their snapshots into the
+	// test's temporary store; let them finish before it is removed.
+	awaitFit(t, ts, id1)
+	awaitFit(t, ts, fit2.ID)
+}
+
+// awaitFit polls the model's status until it has left "fitting". A fit
+// writes its snapshot before it leaves that state.
+func awaitFit(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	for i := 0; ; i++ {
+		resp, err := http.Get(ts.URL + "/v1/models/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			State string `json:"state"`
+		}
+		decodeJSON(t, resp, &st)
+		if st.State != "fitting" {
+			return
+		}
+		if i > 3000 {
+			t.Fatalf("model %s never left fitting", id)
+		}
+	}
 }
 
 func TestBuiltinDataset(t *testing.T) {

@@ -284,14 +284,6 @@ func Fit(data *Dataset, opts FitOptions) (*FittedModel, error) {
 	if bm, ok := fm.Gen.(*bayes.Model); ok {
 		fm.Model, fm.Structure = bm.M, bm.St
 	}
-	// Freeze the sampling tables up front: Fit is the expensive once-per-model
-	// half of the pipeline, so every Synthesize call against the fitted model
-	// serves from the lock-free frozen path. Frozen output is byte-identical
-	// to the lazy path (pinned by the determinism and conformance suites), so
-	// this changes speed, never bytes.
-	if err := fm.Gen.Freeze(0); err != nil {
-		return nil, fmt.Errorf("sgf: freezing model: %w", err)
-	}
 	return fm, nil
 }
 
@@ -351,8 +343,7 @@ func (fm *FittedModel) Mechanism(opts SynthOptions) (*Mechanism, error) {
 	// Attach the model-wide sorted seed table so per-request generation
 	// skips the O(n·m) rebuild. The table keys on the synthesizer's order,
 	// which is fixed per fitted model; the build is racy-safe behind
-	// scanOnce and a nil result (synthesizer with no fixed order) leaves the
-	// mechanism on its lazy path.
+	// scanOnce, and a synthesizer with no fixed order needs no table (nil).
 	fm.scanOnce.Do(func() { fm.scanTab = core.ScanTableFor(syn, fm.Seeds) })
 	mech.Scan = fm.scanTab
 	return mech, nil
@@ -377,32 +368,6 @@ func (fm *FittedModel) SynthesizeStream(ctx context.Context, opts SynthOptions, 
 		return GenStats{}, err
 	}
 	return core.GenerateTargetStream(ctx, mech, opts.Records, opts.MaxCandidates, opts.Workers, opts.Seed, sink)
-}
-
-// SynthesizeReleases produces m multiply-synthetic datasets (the combining-
-// rules workload of the partially/fully synthetic literature surveyed by
-// Bowen & Liu): release j is exactly an independent Synthesize call with
-// seed opts.Seed + j, so releases are reproducible individually and the
-// first release is byte-identical to a plain Synthesize with the same
-// options. Each release passes the privacy test independently; a tenant's
-// ledger must account for all m.
-func (fm *FittedModel) SynthesizeReleases(ctx context.Context, opts SynthOptions, m int) ([]*Dataset, []GenStats, error) {
-	if m < 1 {
-		return nil, nil, fmt.Errorf("sgf: number of releases must be positive (got %d)", m)
-	}
-	outs := make([]*Dataset, 0, m)
-	stats := make([]GenStats, 0, m)
-	for j := 0; j < m; j++ {
-		ro := opts
-		ro.Seed = opts.Seed + uint64(j)
-		out, st, err := fm.Synthesize(ctx, ro)
-		if err != nil {
-			return outs, stats, fmt.Errorf("sgf: release %d of %d: %w", j, m, err)
-		}
-		outs = append(outs, out)
-		stats = append(stats, st)
-	}
-	return outs, stats, nil
 }
 
 // Synthesize runs the full §3 pipeline on a dataset: split into
@@ -485,16 +450,6 @@ func NewMechanism(syn Synthesizer, seeds *Dataset, test TestConfig) (*Mechanism,
 // Generate re-exports the parallel generation pipeline.
 func Generate(mech *Mechanism, candidates, workers int, seed uint64) (*Dataset, GenStats, error) {
 	return core.Generate(mech, core.GenConfig{Candidates: candidates, Workers: workers, Seed: seed})
-}
-
-// GenerateTarget re-exports target-count generation.
-func GenerateTarget(mech *Mechanism, target, maxCandidates, workers int, seed uint64) (*Dataset, GenStats, error) {
-	return core.GenerateTarget(mech, target, maxCandidates, workers, seed)
-}
-
-// GenerateTargetCtx re-exports cancellable target-count generation.
-func GenerateTargetCtx(ctx context.Context, mech *Mechanism, target, maxCandidates, workers int, seed uint64) (*Dataset, GenStats, error) {
-	return core.GenerateTargetCtx(ctx, mech, target, maxCandidates, workers, seed)
 }
 
 // GenerateTargetStream re-exports cancellable, incrementally delivered

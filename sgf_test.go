@@ -2,10 +2,12 @@ package sgf_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	sgf "repro"
 	"repro/internal/acs"
+	"repro/internal/bayesnet"
 	"repro/internal/rng"
 )
 
@@ -152,5 +154,28 @@ func TestMechanismSharesScanTable(t *testing.T) {
 	}
 	if m1.Scan != m2.Scan {
 		t.Fatal("mechanisms from one fitted model do not share the scan table")
+	}
+}
+
+// TestFitRefusesOversizedTables fits the scenarios' 400 built-in ACS rows
+// with the eq. (6) cap lifted to 2^20: the learned structure's conditional
+// tables would far exceed the size limit, so Fit fails and names the knob.
+// The default cap keeps every attribute within DefaultMaxCost
+// configurations on the same rows.
+func TestFitRefusesOversizedTables(t *testing.T) {
+	data := acs.NewPopulation().Generate(rng.New(5), 400)
+	if _, err := sgf.Fit(data, sgf.FitOptions{MaxCost: 1 << 20, Seed: 11}); err == nil {
+		t.Fatal("Fit accepted tables past the size limit")
+	} else if !strings.Contains(err.Error(), "max_cost") {
+		t.Fatalf("Fit error does not name max_cost: %v", err)
+	}
+	fm, err := sgf.Fit(data, sgf.FitOptions{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for attr := range fm.Meta().Attrs {
+		if nc := fm.Model.NumConfigs(attr); nc > bayesnet.DefaultMaxCost {
+			t.Errorf("attribute %d has %d parent configurations under the default cap", attr, nc)
+		}
 	}
 }
