@@ -14,18 +14,19 @@ import (
 // diffs a fresh benchmark run against the checked-in bench/baseline.json
 // and fails when any benchmark slowed past the threshold.
 //
-//	benchjson compare [-threshold 15] [-min-ms 50] [-alloc-threshold 25] baseline.json latest.json
+//	benchjson compare [-threshold 15] [-min-ms 10] [-alloc-threshold 25] baseline.json latest.json
 //
 // Matching is GOMAXPROCS-suffix-insensitive ("BenchmarkX-8" and
 // "BenchmarkX-4" are the same benchmark), so a baseline recorded on one
 // runner shape still gates runs on another. Benchmarks below the -min-ms
-// noise floor in both runs are reported but never gate — timings of
-// trivially short work are coin flips, and a gate that cries wolf gets
-// deleted. The default floor sits below the current suite's fastest
-// benchmark, so today every benchmark gates; it exists for benchmarks
-// added later that genuinely run in the noise. To refresh the baseline
-// after an intentional change, copy a trusted run's BENCH_*.json over
-// bench/baseline.json (see .github/workflows/ci.yml).
+// noise floor in both runs are reported but never gate on time — timings
+// of trivially short work are coin flips, and a gate that cries wolf gets
+// deleted. Several baseline benchmarks sit under the default 10 ms floor
+// (the core generation benchmarks among them), so their time is not gated
+// while both runs stay under it; a benchmark gates as soon as either side
+// reaches the floor, so one that slows back past it still fails. To
+// refresh the baseline after an intentional change, copy a trusted run's
+// BENCH_*.json over bench/baseline.json (see .github/workflows/ci.yml).
 //
 // Because the baseline and the fresh run rarely execute on identical
 // hardware, the gate is self-calibrating by default: every benchmark's

@@ -2,9 +2,10 @@
 // for each record of a candidate file it reports the plausible-seed count,
 // the geometric partition of its maximum generation probability, whether
 // (k, γ)-plausible deniability (Definition 1) holds, and the Theorem 1
-// budget of the release parameters. It is the verification counterpart of
-// cmd/sgf: a data custodian can re-check a synthetic release before
-// publication, or audit one produced elsewhere.
+// budget of the release parameters (none for -eps0 0, the deterministic
+// test, as in cmd/sgf). It is the verification counterpart of cmd/sgf: a
+// data custodian can re-check a synthetic release before publication, or
+// audit one produced elsewhere.
 //
 // Usage:
 //
@@ -13,12 +14,16 @@
 //
 // The generative model is re-learned from the data (without DP noise; the
 // audit wants the sharpest probabilities), so the audit is conservative
-// with respect to the model actually used for generation.
+// with respect to the model actually used for generation. Each record is
+// priced against the input rows through the generation kernel's sorted
+// seed table (core.ScanTable.SeedProbs), in O(m log n) rather than one
+// pass over the rows per quantity reported.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	sgf "repro"
@@ -35,7 +40,7 @@ func main() {
 		candPath = flag.String("candidates", "", "candidate synthetic CSV file (required)")
 		k        = flag.Int("k", 50, "plausible deniability parameter k")
 		gamma    = flag.Float64("gamma", 4, "indistinguishability parameter gamma")
-		eps0     = flag.Float64("eps0", 1, "threshold randomization (for the Theorem 1 budget report)")
+		eps0     = flag.Float64("eps0", 1, "threshold randomization (for the Theorem 1 budget report; 0 = deterministic test)")
 		omegaLo  = flag.Int("omega-lo", 5, "minimum re-sampled attributes assumed for generation")
 		omegaHi  = flag.Int("omega-hi", 11, "maximum re-sampled attributes assumed for generation")
 		maxCost  = flag.Float64("maxcost", 128, "parent-set complexity cap for the audit model")
@@ -53,7 +58,17 @@ func main() {
 	}
 }
 
-func run(dataPath, metaPath, candPath string, k int, gamma, eps0 float64, omegaLo, omegaHi int, maxCost float64, limit int, out *os.File) error {
+func run(dataPath, metaPath, candPath string, k int, gamma, eps0 float64, omegaLo, omegaHi int, maxCost float64, limit int, out io.Writer) error {
+	if err := (core.TestConfig{K: k, Gamma: gamma}).Validate(); err != nil {
+		name := "-gamma"
+		if k < 1 {
+			name = "-k"
+		}
+		return fmt.Errorf("invalid %s: %w", name, err)
+	}
+	if !(eps0 >= 0) {
+		return fmt.Errorf("invalid -eps0: need eps0 >= 0, got %g", eps0)
+	}
 	mf, err := os.Open(metaPath)
 	if err != nil {
 		return err
@@ -100,7 +115,9 @@ func run(dataPath, metaPath, candPath string, k int, gamma, eps0 float64, omegaL
 		return err
 	}
 
-	if b, t, ok := privacy.BestReleaseBudget(k, gamma, eps0, 1e-6); ok {
+	if eps0 == 0 {
+		fmt.Fprintf(out, "release parameters: k=%d gamma=%g eps0=0 -> deterministic test, no Theorem 1 budget\n", k, gamma)
+	} else if b, t, ok := privacy.BestReleaseBudget(k, gamma, eps0, 1e-6); ok {
 		fmt.Fprintf(out, "release parameters: k=%d gamma=%g eps0=%g -> per-record %v (t=%d) by Theorem 1\n",
 			k, gamma, eps0, b, t)
 	} else {
@@ -114,35 +131,37 @@ func run(dataPath, metaPath, candPath string, k int, gamma, eps0 float64, omegaL
 	fmt.Fprintf(out, "auditing %d of %d candidate records against %d input records\n\n", n, cands.Len(), data.Len())
 	fmt.Fprintf(out, "%-6s %-12s %-10s %-10s %s\n", "record", "maxProb", "partition", "plausible", "deniable(k,gamma)")
 
-	pass := 0
+	table := core.ScanTableFor(syn, data)
 	var probe core.Probe
+	var probs []core.SeedProb
+	pass := 0
 	for i := 0; i < n; i++ {
-		y := cands.Row(i)
-		syn.Probe(y, &probe)
+		syn.Probe(cands.Row(i), &probe)
+		probs = table.SeedProbs(&probe, probs)
 		// Best-seed probability and partition.
-		best := 0.0
-		for _, d := range data.Rows() {
-			if p := probe.Prob(d); p > best {
-				best = p
-			}
-		}
+		best := probs[len(probs)-1].P
 		part, ok := core.PartitionIndex(best, gamma)
 		partStr := "-"
-		plausible := 0
 		if ok {
 			partStr = fmt.Sprint(part)
-			plausible = core.CountPlausibleSeeds(syn, data, y, best, gamma)
 		}
-		// Definition 1 with the best seed as d1 (the most favorable case).
-		deniable := false
-		if best > 0 {
-			for _, d := range data.Rows() {
-				if probe.Prob(d) == best {
-					deniable = core.IsPlausiblyDeniable(syn, data, d, y, k, gamma)
-					break
-				}
+		// plausible counts the possible seeds in best's partition; window
+		// counts those within a factor γ of best, which is Definition 1's
+		// largest window when d1 is a most likely seed (the most favorable
+		// case).
+		plausible, window := 0, 0
+		for _, e := range probs {
+			if e.P <= 0 {
+				continue
+			}
+			if j, _ := core.PartitionIndex(e.P, gamma); j == part {
+				plausible += e.Seeds
+			}
+			if best <= gamma*e.P {
+				window += e.Seeds
 			}
 		}
+		deniable := best > 0 && window >= k
 		if deniable {
 			pass++
 		}

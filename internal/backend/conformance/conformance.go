@@ -10,9 +10,9 @@
 //     the decoded model synthesizes byte-identical output;
 //   - poisoned-payload rejection: truncated payloads are rejected without
 //     panicking, and corrupted payloads never panic the decoder;
-//   - kernel/reference agreement: the generation kernel releases exactly
-//     what the reference Mechanism.Once loop releases, and a candidate's
-//     own seed always has positive generation probability.
+//   - kernel/step agreement: the parallel generation kernel releases
+//     exactly what a per-candidate Mechanism.Once loop releases, and a
+//     candidate's own seed always has positive generation probability.
 //
 // The suite runs each check against a non-private and a differentially
 // private fit, since DP noise exercises the hash-seeded stream plumbing
@@ -66,7 +66,7 @@ func Run(t *testing.T, id string) {
 			t.Run("worker-determinism", func(t *testing.T) { checkWorkerDeterminism(t, fx) })
 			t.Run("codec-roundtrip", func(t *testing.T) { checkCodecRoundTrip(t, b, fx) })
 			t.Run("poisoned-rejection", func(t *testing.T) { checkPoisonedRejection(t, b, fx) })
-			t.Run("kernel-matches-reference", func(t *testing.T) { checkKernelMatchesReference(t, fx) })
+			t.Run("kernel-matches-once", func(t *testing.T) { checkKernelMatchesOnce(t, fx) })
 		})
 	}
 }
@@ -274,14 +274,15 @@ func checkPoisonedRejection(t *testing.T, b backend.Backend, fx fixture) {
 	}
 }
 
-// checkKernelMatchesReference pins the generation kernel to the reference
-// path: core.GenerateCtx must release the records, with the statistics, of
-// a per-candidate Mechanism.Once loop on rng.NewStream(seed, i), under an
-// uncapped randomized test and under a capped one. The reference always
-// walks the seeds, so CheckedTotal is compared only where the kernel walks
-// too. Every candidate's own seed must have positive probability (otherwise
-// Mechanism 1's privacy test could not even count it).
-func checkKernelMatchesReference(t *testing.T, fx fixture) {
+// checkKernelMatchesOnce pins the parallel generation kernel to its
+// single-candidate step: core.GenerateCtx must release the records, with
+// the statistics, of a per-candidate Mechanism.Once loop on
+// rng.NewStream(seed, i), under an uncapped randomized test and under a
+// capped one. Every candidate's own seed must have positive probability
+// (otherwise Mechanism 1's privacy test could not even count it). The
+// reference privacy test the kernel is pinned against lives in
+// internal/core's tests.
+func checkKernelMatchesOnce(t *testing.T, fx fixture) {
 	syn, err := fx.model.Synthesizer(1, len(fx.meta.Attrs))
 	if err != nil {
 		t.Fatal(err)
@@ -297,31 +298,31 @@ func checkKernelMatchesReference(t *testing.T, fx fixture) {
 		}
 		want := dataset.New(fx.meta)
 		var wantStats core.GenStats
+		y := make(dataset.Record, len(fx.meta.Attrs))
+		var probe core.Probe
 		for i := 0; i < candidates; i++ {
-			y, res, ok := mech.Once(rng.NewStream(seed, uint64(i)))
+			res := mech.Once(y, &probe, rng.NewStream(seed, uint64(i)))
 			if res.SeedProb <= 0 {
 				t.Fatalf("%s candidate %d: generating seed has probability %g, want > 0", name, i, res.SeedProb)
 			}
 			wantStats.Candidates++
-			if tc.MaxCheckPlausible > 0 {
-				wantStats.CheckedTotal += int64(res.Checked)
-			}
-			if ok {
-				want.Append(y)
+			wantStats.CheckedTotal += int64(res.Checked)
+			if res.Pass {
+				want.Append(y.Clone())
 				wantStats.Released++
 			}
 		}
 		if wantStats.Released == 0 {
-			t.Fatalf("%s: reference released nothing; the comparison would be vacuous", name)
+			t.Fatalf("%s: the Once loop released nothing; the comparison would be vacuous", name)
 		}
 		have, stats, err := core.GenerateCtx(context.Background(), mech, core.GenConfig{Candidates: candidates, Workers: 2, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRows(t, name+": kernel vs reference", want, have)
+		sameRows(t, name+": kernel vs Once loop", want, have)
 		if stats.Candidates != wantStats.Candidates || stats.Released != wantStats.Released ||
 			stats.SeedRejected != 0 || stats.CheckedTotal != wantStats.CheckedTotal {
-			t.Fatalf("%s: kernel stats %+v, reference %+v", name, stats, wantStats)
+			t.Fatalf("%s: kernel stats %+v, Once loop %+v", name, stats, wantStats)
 		}
 	}
 }

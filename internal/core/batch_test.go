@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bayesnet"
 	"repro/internal/dataset"
 	"repro/internal/rng"
 )
 
 // referenceGenerate is the pre-batching pipeline spelled out: one explicit
-// ReseedStream(seed, i) per candidate, the allocating Once path, releases
-// in candidate index order. The batched kernel is pinned against this
-// oracle, not against itself.
+// ReseedStream(seed, i) per candidate, the allocating reference path
+// (referenceOnce), releases in candidate index order. The batched kernel is
+// pinned against this oracle, not against itself.
 func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint64) ([]dataset.Record, GenStats) {
 	t.Helper()
 	var stats GenStats
@@ -20,7 +21,7 @@ func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint6
 	r := rng.New(0)
 	for i := 0; i < candidates; i++ {
 		r.ReseedStream(seed, uint64(i))
-		y, res, ok := mech.Once(r)
+		y, res, ok := referenceOnce(mech, r)
 		stats.Candidates++
 		stats.CheckedTotal += int64(res.Checked)
 		if res.SeedProb <= 0 {
@@ -39,8 +40,9 @@ func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint6
 // executes: for the seed synthesizer, a
 // deterministic one whose cap selects the per-record walk and two uncapped
 // randomized ones whose test counts exactly, the second at paper
-// parameters; for a constant probe (marginalSyn), an uncapped randomized
-// one and a capped one, whose counts the kernel computes in O(1).
+// parameters; the same kernel over differentially private parameters,
+// uncapped and capped; for a constant probe (marginalSyn), an uncapped
+// randomized one and a capped one, whose counts the kernel computes in O(1).
 func batchMechs(t *testing.T) map[string]*Mechanism {
 	t.Helper()
 	model := benchModel(t, 21)
@@ -49,12 +51,25 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 		t.Fatal(err)
 	}
 	seeds := tinySeeds(t, model, 300, 22)
+	// DP noise (eq. 14) leaves the conditionals, and with them the tail
+	// products the probe's buckets sum, far less regular than a non-private
+	// fit's.
+	dpModel := benchModelWith(t, 21, bayesnet.ModelConfig{Alpha: 1, DP: true, EpsP: 0.5, NoiseKey: "core-dp"})
+	dpSyn, err := NewSeedSynthesizer(dpModel, 5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string]*Mechanism{"paper": paperMech(t)}
-	for name, tc := range map[string]TestConfig{
-		"deterministic": {K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64},
-		"randomized":    {K: 5, Gamma: 3, Randomized: true, Eps0: 0.8, MaxPlausible: 12},
+	for name, mc := range map[string]struct {
+		syn Synthesizer
+		tc  TestConfig
+	}{
+		"deterministic": {syn, TestConfig{K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64}},
+		"randomized":    {syn, TestConfig{K: 5, Gamma: 3, Randomized: true, Eps0: 0.8, MaxPlausible: 12}},
+		"dp":            {dpSyn, TestConfig{K: 3, Gamma: 8, Randomized: true, Eps0: 0.5}},
+		"dp-capped":     {dpSyn, TestConfig{K: 8, Gamma: 8, Randomized: true, Eps0: 0.5, MaxCheckPlausible: 10}},
 	} {
-		mech, err := NewMechanism(syn, seeds, tc)
+		mech, err := NewMechanism(mc.syn, seeds, mc.tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,13 +166,13 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFastTestMatchesRunTest pins the kernel's privacy test against the
-// reference RunTest path on identical RNG streams, candidate by candidate:
-// the capped walk, the exact count (on a small seed set and at paper
-// parameters) and the constant probe's O(1) count, capped and uncapped,
-// must produce identical records, decisions, counts and thresholds, and
-// consume identical RNG state. Checked matches where the kernel walks and
-// is 0 where it counts.
+// TestFastTestMatchesRunTest pins the kernel's step, Mechanism.Once,
+// against the reference path on identical RNG streams, candidate by
+// candidate: the capped walk, the exact count (on a small seed set, at
+// paper parameters and over DP parameters) and the constant probe's O(1)
+// count, capped and uncapped, must produce identical records, decisions,
+// counts and thresholds, and consume identical RNG state. Checked matches
+// where the kernel walks and is 0 where it counts.
 func TestFastTestMatchesRunTest(t *testing.T) {
 	for name, mech := range batchMechs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -165,18 +180,16 @@ func TestFastTestMatchesRunTest(t *testing.T) {
 			if _, seeded := mech.Synth.(*SeedSynthesizer); seeded && st == nil {
 				t.Fatal("expected a sorted seed table for the seed synthesizer")
 			}
-			pre, err := newTestPre(mech)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := newGenScratch(len(mech.Seeds.Meta.Attrs))
+			y := make(dataset.Record, len(mech.Seeds.Meta.Attrs))
+			var ps Probe
 			rFast, rRef := rng.New(0), rng.New(0)
 			passes, fails := 0, 0
 			for i := uint64(0); i < 500; i++ {
 				rFast.ReseedStream(7, i)
 				rRef.ReseedStream(7, i)
-				y, res, ok := mech.onceFast(sc, st, &pre, rFast)
-				wantY, wantRes, wantOK := mech.Once(rRef)
+				res := mech.Once(y, &ps, rFast)
+				ok := res.Pass
+				wantY, wantRes, wantOK := referenceOnce(mech, rRef)
 				if !walks(mech) {
 					if res.Checked != 0 {
 						t.Fatalf("candidate %d: exact count reported Checked = %d", i, res.Checked)

@@ -17,6 +17,12 @@ import (
 // sizes and sampling costs.
 func benchModel(t testing.TB, seed uint64) *bayesnet.Model {
 	t.Helper()
+	return benchModelWith(t, seed, bayesnet.ModelConfig{Alpha: 1})
+}
+
+// benchModelWith is benchModel with its parameters learned under cfg.
+func benchModelWith(t testing.TB, seed uint64, cfg bayesnet.ModelConfig) *bayesnet.Model {
+	t.Helper()
 	cards := []int{2, 3, 2, 40, 64, 32, 50, 64, 40, 57, 48, 36}
 	attrs := make([]dataset.Attribute, len(cards))
 	for i, card := range cards {
@@ -47,7 +53,7 @@ func benchModel(t testing.TB, seed uint64) *bayesnet.Model {
 		ds.Append(rec.Clone())
 	}
 	bkt := dataset.NewBucketizer(meta)
-	model, err := bayesnet.LearnModel(ds, bkt, st, bayesnet.ModelConfig{Alpha: 1})
+	model, err := bayesnet.LearnModel(ds, bkt, st, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

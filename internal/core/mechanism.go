@@ -58,24 +58,23 @@ func NewMechanism(syn Synthesizer, seeds *dataset.Dataset, test TestConfig) (*Me
 	return &Mechanism{Synth: syn, Seeds: seeds, Test: test}, nil
 }
 
-// Once runs one iteration of Mechanism 1: it returns the candidate, the
-// test outcome, and whether the candidate may be released. The candidate is
-// returned even when the test fails so that callers can account for it
-// (the tool emits all candidates and marks which passed, §6.5); callers
-// must release only records with ok == true. Once is the reference
-// implementation the generation kernel is pinned against: it allocates
-// its candidate and runs the reference RunTest.
-func (m *Mechanism) Once(r *rng.RNG) (dataset.Record, TestResult, bool) {
-	seed := m.Seeds.Row(r.Intn(m.Seeds.Len()))
-	y := make(dataset.Record, len(seed))
-	m.Synth.GenerateInto(y, seed, r)
-	res, err := RunTest(m.Synth, m.Seeds, seed, y, m.Test, r)
+// Once runs one iteration of Mechanism 1 through the generation kernel: it
+// draws a seed, generates the candidate into y (one entry per attribute),
+// fills ps for it and runs the privacy test, consuming exactly the RNG state
+// one GenerateCtx candidate does. The candidate may be released only when
+// the result passes; y is filled either way so that callers can account for
+// it (the tool emits all candidates and marks which passed, §6.5). The
+// caller owns y and ps, so a loop of Once calls allocates nothing per
+// candidate, and ps stays filled for y (see ScanTable.SeedProbs).
+func (m *Mechanism) Once(y dataset.Record, ps *Probe, r *rng.RNG) TestResult {
+	pre, err := newTestPre(m)
 	if err != nil {
-		// Config was validated at construction; an error here means the
-		// dataset emptied underneath us, which is a programming error.
+		// Config was validated at construction; failing here means the
+		// mechanism was mutated invalid afterwards, which is a programming
+		// error.
 		panic(err)
 	}
-	return y, res, res.Pass
+	return m.onceFast(y, ps, m.ensureScan(), &pre, r)
 }
 
 // genScratch is a generation worker's reusable state: the candidate record
@@ -90,18 +89,15 @@ func newGenScratch(numAttrs int) *genScratch {
 	return &genScratch{rec: make(dataset.Record, numAttrs)}
 }
 
-// onceFast is Once through the allocation-free kernel: the candidate is
-// generated into sc.rec (the returned record ALIASES sc.rec — copy it to
-// keep it past the next iteration) and the privacy test runs on the reused
-// probe against the sorted seed table. It consumes exactly the RNG state
-// Once would, and returns the same record and the same test result apart
-// from Checked (see TestResult).
-func (m *Mechanism) onceFast(sc *genScratch, st *ScanTable, pre *testPre, r *rng.RNG) (dataset.Record, TestResult, bool) {
+// onceFast is the kernel's per-candidate step, Once with the run's seed
+// table and test limits resolved: the candidate is generated into y, ps is
+// filled for it, and the privacy test runs on the probe against the sorted
+// seed table.
+func (m *Mechanism) onceFast(y dataset.Record, ps *Probe, st *ScanTable, pre *testPre, r *rng.RNG) TestResult {
 	seed := m.Seeds.Row(r.Intn(pre.n))
-	m.Synth.GenerateInto(sc.rec, seed, r)
-	m.Synth.Probe(sc.rec, &sc.ps)
-	res := runTestFast(&sc.ps, st, pre, seed, r)
-	return sc.rec, res, res.Pass
+	m.Synth.GenerateInto(y, seed, r)
+	m.Synth.Probe(y, ps)
+	return runTestFast(ps, st, pre, seed, r)
 }
 
 // recordArena hands out record copies from growing block allocations, so
@@ -320,14 +316,14 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 					// Scratch-buffer generation: only passing candidates are
 					// copied out (through the arena); the rest cost zero
 					// allocations.
-					y, res, ok := mech.onceFast(sc, st, &pre, r)
+					res := mech.onceFast(sc.rec, &sc.ps, st, &pre, r)
 					c.cands++
 					c.checked += int64(res.Checked)
 					if res.SeedProb <= 0 {
 						c.rejected++
 					}
-					if ok {
-						slots[i] = arena.clone(y)
+					if res.Pass {
+						slots[i] = arena.clone(sc.rec)
 						c.pass++
 					}
 				}

@@ -181,7 +181,8 @@ func TestReleaseBudgetExposed(t *testing.T) {
 }
 
 // TestTheorem1Empirical estimates the output distribution of Mechanism 1 +
-// Privacy Test 2 on neighboring datasets over a tiny universe and checks
+// Privacy Test 2, as the generation kernel runs it (Mechanism.Once), on
+// neighboring datasets over a tiny universe and checks
 // the (ε, δ) inequality of Theorem 1 for every singleton outcome. Monte
 // Carlo noise is handled with a small multiplicative slack: a true
 // violation of the theorem would overshoot far beyond it.
@@ -215,9 +216,10 @@ func TestTheorem1Empirical(t *testing.T) {
 	estimate := func(m *Mechanism, seed uint64) map[string]float64 {
 		r := rng.New(seed)
 		freq := map[string]float64{}
+		y := make(dataset.Record, len(m.Seeds.Meta.Attrs))
+		var ps Probe
 		for i := 0; i < draws; i++ {
-			y, _, ok := m.Once(r)
-			if ok {
+			if m.Once(y, &ps, r).Pass {
 				freq[y.Key()]++
 			}
 		}

@@ -126,6 +126,56 @@ func (t *ScanTable) countPlausible(ps *Probe) int {
 	return total
 }
 
+// SeedProb is one value the generation probability of a candidate takes
+// over the seeds, with the number of seeds that take it (see
+// ScanTable.SeedProbs).
+type SeedProb struct {
+	// P is the generation probability Pr{y = M(d)}.
+	P float64
+	// Seeds is the number of seeds d for which Pr{y = M(d)} equals P.
+	Seeds int
+}
+
+// SeedProbs lists each distinct value Pr{y = M(d)} takes over the table's
+// seeds d for the probe's candidate y, ascending by P, with the number of
+// seeds that take it; seeds that could not have generated y are listed
+// under P = 0. The entries are appended to dst[:0], so a caller that passes
+// the previous result back allocates nothing per candidate.
+//
+// The probe must come from the seed synthesizer the table was built for
+// (see ScanTableFor): a constant probe has no agreement buckets.
+//
+// Unlike the privacy test's count, which stops comparing at decisive(),
+// SeedProbs walks the prefix ranges to hiIdx, O(m log n) in all. The
+// values come out in order because bucket j's probability weight·cum[j]
+// never decreases in j.
+func (t *ScanTable) SeedProbs(ps *Probe, dst []SeedProb) []SeedProb {
+	r := t.prefixRanges(ps, ps.hiIdx)
+	out := dst[:0]
+	shared := t.n
+	for j := 0; j <= ps.hiIdx; j++ {
+		// Bucket j < hiIdx holds A_j − A_{j+1} seeds, bucket hiIdx the A_hiIdx
+		// left; the n − A_loIdx seeds below loIdx could not have generated y.
+		seeds := shared
+		if j < ps.hiIdx {
+			seeds, shared = shared-r[2*j+1], r[2*j+1]
+		}
+		if seeds == 0 {
+			continue
+		}
+		p := 0.0
+		if j >= ps.loIdx {
+			p = ps.weight * ps.cum[j]
+		}
+		if last := len(out) - 1; last >= 0 && out[last].P == p {
+			out[last].Seeds += seeds
+		} else {
+			out = append(out, SeedProb{P: p, Seeds: seeds})
+		}
+	}
+	return out
+}
+
 // prefixRanges fills ps.ranges with the sorted rows holding the seeds that
 // share y's first j σ-values, as (first row, row count) pairs for j = 1 …
 // top. The rows sharing j values are sorted by σ-position j, so each range
@@ -253,10 +303,11 @@ func newTestPre(m *Mechanism) (testPre, error) {
 }
 
 // runTestFast is the generation kernel's privacy test: identical RNG
-// consumption, decisions, PlausibleCount and Threshold as RunTest over the
-// same probe. The seed's partition and threshold are computed as in
-// RunTest and the partition is memoized per agreement bucket (see
-// initPartitions), so no seed needs a float. Three shapes:
+// consumption, decisions, PlausibleCount and Threshold as the reference
+// RunTest (reference_test.go) over the same probe. The seed's partition
+// and threshold are computed as in RunTest and the partition is memoized
+// per agreement bucket (see initPartitions), so no seed needs a float.
+// Three shapes:
 //
 //   - constant probe: every seed matches or none does — the count is
 //     computed analytically in O(1).

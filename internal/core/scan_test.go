@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bayesnet"
@@ -166,5 +168,64 @@ func TestScanTableSorted(t *testing.T) {
 				t.Fatalf("seed %d: sorted row %d differs at σ-position %d", i, s, k)
 			}
 		}
+	}
+}
+
+// TestSeedProbsMatchesPerRecord pins SeedProbs to the distinct-value
+// histogram of Probe.Prob over every seed. It covers ω ranges with lo = 1,
+// with hi = m and with lo = hi, and both candidates generated from a seed
+// and uniformly sampled ones, which leave seeds with zero probability.
+func TestSeedProbsMatchesPerRecord(t *testing.T) {
+	r := rng.New(85)
+	zeros, mixed := 0, 0
+	for _, mc := range []struct {
+		name  string
+		model *bayesnet.Model
+	}{{"tiny", tinyModel(t, 86)}, {"wide", benchModel(t, 87)}} {
+		model := mc.model
+		m := len(model.Meta.Attrs)
+		omegas := [][2]int{{1, m}, {1, 1}, {m, m}, {2, m}, {1, m - 1}, {2, 2}}
+		for _, n := range []int{1, 3, 97, 400} {
+			seeds := tinySeeds(t, model, n, uint64(n))
+			st := NewScanTable(seeds, model.Struct.Order)
+			for _, om := range omegas {
+				syn, err := NewSeedSynthesizer(model, om[0], om[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ps Probe
+				var got []SeedProb
+				for trial := 0; trial < 12; trial++ {
+					y := generate(syn, seeds.Row(r.Intn(n)), r)
+					if trial%3 == 2 {
+						for a := range y {
+							y[a] = uint16(r.Intn(model.Meta.Attrs[a].Card()))
+						}
+					}
+					syn.Probe(y, &ps)
+					hist := map[float64]int{}
+					for _, d := range seeds.Rows() {
+						hist[ps.Prob(d)]++
+					}
+					want := make([]SeedProb, 0, len(hist))
+					for p, c := range hist {
+						want = append(want, SeedProb{P: p, Seeds: c})
+					}
+					slices.SortFunc(want, func(a, b SeedProb) int { return cmp.Compare(a.P, b.P) })
+					if got = st.SeedProbs(&ps, got); !slices.Equal(got, want) {
+						t.Fatalf("%s n=%d ω=%v y=%v: SeedProbs %v, per-record histogram %v", mc.name, n, om, y, got, want)
+					}
+					if want[0].P == 0 {
+						zeros++
+						if len(want) > 1 {
+							mixed++
+						}
+					}
+				}
+			}
+		}
+	}
+	if zeros == 0 || mixed == 0 {
+		t.Fatalf("%d candidates had zero-probability seeds, %d of them alongside possible ones; the cases are not covered", zeros, mixed)
 	}
 }

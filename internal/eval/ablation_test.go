@@ -15,6 +15,17 @@ func TestRunSeedInference(t *testing.T) {
 	if res.Released+res.Rejected != res.Candidates {
 		t.Fatalf("group counts %d+%d != %d", res.Released, res.Rejected, res.Candidates)
 	}
+	// The exact outcome is pinned: the attack's RNG use, privacy-test
+	// decisions and maximum-likelihood seed sets are all deterministic, so
+	// any change to how it prices seeds must leave these bits unchanged.
+	want := AttackResult{
+		Candidates: 200, Released: 139, Rejected: 61,
+		SuccessReleased: 0.02384356881532362, SuccessRejected: 0.13918457745539906,
+		BoundReleased: 1 / float64(p.Cfg.K),
+	}
+	if *res != want {
+		t.Fatalf("attack result %+v, want %+v", *res, want)
+	}
 	if res.Released == 0 {
 		t.Fatal("no released candidates; attack experiment vacuous")
 	}

@@ -47,12 +47,14 @@ func (r *AttackResult) Render() string {
 }
 
 // RunSeedInference generates `candidates` synthetics with the given ω
-// variant, runs the (deterministic) privacy test on each, and plays the
-// maximum-likelihood seed-identification game against both groups. The
-// adversary computes Pr{y = M(d)} for every record d of the seed dataset
-// and guesses uniformly among the maximizers; its expected success on a
-// candidate is [seed ∈ argmax] / |argmax|. ctx is honoured between
-// candidates.
+// variant through the generation kernel (core.Mechanism.Once) under the
+// deterministic privacy test, and plays the maximum-likelihood
+// seed-identification game against both groups. The adversary prices
+// Pr{y = M(d)} for every record d of the seed dataset and guesses uniformly
+// among the maximizers, so its expected success on a candidate is
+// [seed ∈ argmax] / |argmax|. The maximizers are read off the kernel's
+// sorted seed table (core.ScanTable.SeedProbs) in O(m log n) per candidate,
+// without pricing the seeds one by one. ctx is honoured between candidates.
 func RunSeedInference(ctx context.Context, p *Pipeline, om OmegaSpec, candidates int) (*AttackResult, error) {
 	if candidates <= 0 {
 		candidates = 300
@@ -61,20 +63,22 @@ func RunSeedInference(ctx context.Context, p *Pipeline, om OmegaSpec, candidates
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.TestConfig{
+	mech, err := core.NewMechanism(syn, p.DS, core.TestConfig{
 		K:     p.Cfg.K,
 		Gamma: p.Cfg.Gamma,
 		// No early exits: the adversary sees everything, so the defender's
 		// accounting should too.
-	}
-	if err := cfg.Validate(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
+	mech.Scan = core.ScanTableFor(syn, p.DS)
 	r := rng.New(p.Cfg.Seed + 0xa77ac)
 	res := &AttackResult{Candidates: candidates, BoundReleased: 1 / float64(p.Cfg.K)}
 
 	var sumReleased, sumRejected float64
 	var probe core.Probe
+	var probs []core.SeedProb
 	y := make(dataset.Record, len(p.DS.Meta.Attrs))
 	for i := 0; i < candidates; i++ {
 		if i%32 == 0 {
@@ -82,36 +86,14 @@ func RunSeedInference(ctx context.Context, p *Pipeline, om OmegaSpec, candidates
 				return nil, err
 			}
 		}
-		seedIdx := r.Intn(p.DS.Len())
-		seed := p.DS.Row(seedIdx)
-		syn.GenerateInto(y, seed, r)
+		test := mech.Once(y, &probe, r)
 
-		test, err := core.RunTest(syn, p.DS, seed, y, cfg, r)
-		if err != nil {
-			return nil, err
-		}
-
-		// Maximum-likelihood adversary.
-		syn.Probe(y, &probe)
-		best := -1.0
-		bestCount := 0
-		seedInBest := false
-		for j := 0; j < p.DS.Len(); j++ {
-			q := probe.Prob(p.DS.Row(j))
-			switch {
-			case q > best:
-				best, bestCount = q, 1
-				seedInBest = j == seedIdx
-			case q == best:
-				bestCount++
-				if j == seedIdx {
-					seedInBest = true
-				}
-			}
-		}
+		// Maximum-likelihood adversary: the generating seed is a most likely
+		// one exactly when its probability is the top value.
+		probs = mech.Scan.SeedProbs(&probe, probs)
 		success := 0.0
-		if seedInBest && bestCount > 0 {
-			success = 1 / float64(bestCount)
+		if top := probs[len(probs)-1]; test.SeedProb == top.P {
+			success = 1 / float64(top.Seeds)
 		}
 		if test.Pass {
 			res.Released++

@@ -463,8 +463,3 @@ func GenerateTargetStream(ctx context.Context, mech *Mechanism, target, maxCandi
 func ReleaseBudget(k int, gamma, eps0 float64, t int) Budget {
 	return privacy.ReleaseBudget(k, gamma, eps0, t)
 }
-
-// IsPlausiblyDeniable re-exports the Definition 1 verifier.
-func IsPlausiblyDeniable(syn Synthesizer, data *Dataset, seed, y Record, k int, gamma float64) bool {
-	return core.IsPlausiblyDeniable(syn, data, seed, y, k, gamma)
-}
