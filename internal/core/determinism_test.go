@@ -144,7 +144,9 @@ func TestGenerateCtxCancellation(t *testing.T) {
 }
 
 // TestGenerateTargetStreamMatchesCollect checks that the streamed batches
-// concatenate to exactly the dataset GenerateTargetCtx returns.
+// concatenate to exactly the dataset GenerateTargetCtx returns, for chunks
+// of one candidate batch (30 records) and of several (1,000), which stream
+// while they are generated.
 func TestGenerateTargetStreamMatchesCollect(t *testing.T) {
 	model := tinyModel(t, 79)
 	syn, err := NewSeedSynthesizer(model, 1, 2)
@@ -157,24 +159,26 @@ func TestGenerateTargetStreamMatchesCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var streamed []dataset.Record
-	_, err = GenerateTargetStream(context.Background(), mech, 30, 0, 4, 11, func(batch []dataset.Record) error {
-		streamed = append(streamed, batch...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collected, _, err := GenerateTargetCtx(context.Background(), mech, 30, 0, 4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != collected.Len() {
-		t.Fatalf("streamed %d records, collected %d", len(streamed), collected.Len())
-	}
-	for i := range streamed {
-		if !streamed[i].Equal(collected.Row(i)) {
-			t.Fatalf("record %d differs between stream and collect", i)
+	for _, c := range []streamCase{{30, 4}, {1000, 1}, {1000, 3}} {
+		var streamed []dataset.Record
+		_, err = GenerateTargetStream(context.Background(), mech, c.target, 0, c.workers, 11, func(batch []dataset.Record) error {
+			streamed = append(streamed, batch...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		collected, _, err := GenerateTargetCtx(context.Background(), mech, c.target, 0, c.workers, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(streamed) != collected.Len() {
+			t.Fatalf("%v: streamed %d records, collected %d", c, len(streamed), collected.Len())
+		}
+		for i := range streamed {
+			if !streamed[i].Equal(collected.Row(i)) {
+				t.Fatalf("%v: record %d differs between stream and collect", c, i)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/bayesnet"
@@ -75,123 +74,6 @@ func marginalModel(t testing.TB, src *bayesnet.Model) *bayesnet.Model {
 		t.Fatal(err)
 	}
 	return model
-}
-
-// streamMech builds a mechanism with a mid-range pass rate (~0.65: few
-// seeds, randomized threshold) so target runs genuinely under-deliver their
-// first chunk and overshoot their final one.
-func streamMech(t testing.TB) *Mechanism {
-	t.Helper()
-	model := tinyModel(t, 56)
-	syn, err := NewSeedSynthesizer(model, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := tinySeeds(t, model, 60, 57)
-	mech, err := NewMechanism(syn, seeds, TestConfig{
-		K: 14, Gamma: 1.2, Randomized: true, Eps0: 0.4, MaxPlausible: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mech
-}
-
-// TestStreamReleasedMatchesDelivered pins the over-reporting fix: when the
-// final chunk overshoots the target, GenStats.Released must equal what the
-// sink received, not the chunk pass counts.
-func TestStreamReleasedMatchesDelivered(t *testing.T) {
-	mech := streamMech(t)
-	for seed := uint64(1); seed <= 5; seed++ {
-		delivered := 0
-		stats, err := GenerateTargetStream(context.Background(), mech, 37, 0, 3, seed, func(batch []dataset.Record) error {
-			delivered += len(batch)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if delivered != 37 {
-			t.Fatalf("seed %d: sink received %d records, want 37", seed, delivered)
-		}
-		if stats.Released != delivered {
-			t.Fatalf("seed %d: stats.Released = %d, sink received %d", seed, stats.Released, delivered)
-		}
-	}
-}
-
-// TestStreamSinkErrorNotCounted pins the swallowed-error fix: a batch the
-// sink rejects is not counted as released, and the error surfaces.
-func TestStreamSinkErrorNotCounted(t *testing.T) {
-	mech := streamMech(t)
-	boom := errors.New("client gone")
-	calls := 0
-	stats, err := GenerateTargetStream(context.Background(), mech, 30, 0, 2, 3, func(batch []dataset.Record) error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("stream error = %v, want the sink's error", err)
-	}
-	if calls != 1 {
-		t.Fatalf("sink called %d times after failing, want 1", calls)
-	}
-	if stats.Released != 0 {
-		t.Fatalf("stats.Released = %d after a failed delivery, want 0", stats.Released)
-	}
-}
-
-// TestStreamCancelKeepsDeliveredCount cancels between chunks and checks the
-// stats still reflect exactly the delivered records.
-func TestStreamCancelKeepsDeliveredCount(t *testing.T) {
-	mech := streamMech(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	delivered := 0
-	stats, err := GenerateTargetStream(ctx, mech, 1000, 0, 2, 3, func(batch []dataset.Record) error {
-		delivered += len(batch)
-		cancel() // client walks away after the first batch
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("stream error = %v, want context.Canceled", err)
-	}
-	if delivered == 0 {
-		t.Fatal("sink never ran")
-	}
-	if stats.Released != delivered {
-		t.Fatalf("stats.Released = %d, sink received %d", stats.Released, delivered)
-	}
-}
-
-// TestStreamBatchSliceReuse documents the new sink contract: the batch
-// slice is invalidated by the next batch, but the records are the sink's to
-// keep — collected output must match a non-streaming run.
-func TestStreamBatchSliceReuse(t *testing.T) {
-	mech := streamMech(t)
-	var kept []dataset.Record
-	_, err := GenerateTargetStream(context.Background(), mech, 40, 0, 2, 9, func(batch []dataset.Record) error {
-		kept = append(kept, batch...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := GenerateTargetCtx(context.Background(), mech, 40, 0, 2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := out.Rows()
-	if len(kept) != len(rows) {
-		t.Fatalf("streamed %d records, collected %d", len(kept), len(rows))
-	}
-	for i := range kept {
-		for j := range kept[i] {
-			if kept[i][j] != rows[i][j] {
-				t.Fatalf("record %d attr %d: streamed %d, collected %d", i, j, kept[i][j], rows[i][j])
-			}
-		}
-	}
 }
 
 // benchmarkGenerate measures single-worker candidate throughput; with

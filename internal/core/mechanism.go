@@ -155,9 +155,11 @@ type GenStats struct {
 	CheckedTotal int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// SinkElapsed is the portion of Elapsed spent inside the caller's sink
+	// SinkElapsed sums the time spent inside the caller's sink
 	// (GenerateTargetStream only): delivery/flush time as opposed to
 	// generation time, so a serving layer can report the two stages apart.
+	// The sink runs while the workers keep generating, so it overlaps
+	// Elapsed's generation time instead of being a slice of it.
 	SinkElapsed time.Duration
 }
 
@@ -220,7 +222,7 @@ func GenerateCtx(ctx context.Context, mech *Mechanism, cfg GenConfig) (*dataset.
 		return nil, GenStats{}, fmt.Errorf("core: negative candidate count %d", cfg.Candidates)
 	}
 	slots := make([]dataset.Record, cfg.Candidates)
-	stats, err := generateSlots(ctx, mech, cfg, slots)
+	stats, err := generateSlots(ctx, mech, cfg, slots, nil)
 	released := make([]dataset.Record, 0, stats.Released)
 	for _, y := range slots {
 		if y != nil {
@@ -237,6 +239,90 @@ type genCounters struct {
 	cands, pass, checked, rejected int64
 }
 
+// chunkProgress is the completed batch prefix of a reported chunk, shared
+// by its workers and the goroutine that reports the prefix (see
+// generateSlots). Workers wake the reporter only when a report is due:
+// after the first batch of the prefix, whenever the prefix has at least
+// doubled since the last wake, and when the last worker exits. So a chunk
+// of nb batches wakes it at most ⌊log₂ nb⌋ + 2 times, and no worker ever
+// waits for it.
+type chunkProgress struct {
+	mu     sync.Mutex
+	done   []bool // done[b]: every candidate of batch b is in its slot
+	prefix int    // leading batches done
+	woke   int    // prefix at the last wake
+	live   int    // workers not yet exited
+	wake   chan struct{}
+	// stop asks workers to claim no further batch (a report failed).
+	stop atomic.Bool
+}
+
+// newChunkProgress returns the shared progress of a chunk of nb batches
+// run by the given workers, or nil when there is no report.
+func newChunkProgress(report func(done int) error, nb, workers int) *chunkProgress {
+	if report == nil {
+		return nil
+	}
+	return &chunkProgress{done: make([]bool, nb), live: workers, wake: make(chan struct{}, 1)}
+}
+
+// complete marks batch b done and wakes the reporter if a report is due.
+func (p *chunkProgress) complete(b int) {
+	p.mu.Lock()
+	p.done[b] = true
+	for p.prefix < len(p.done) && p.done[p.prefix] {
+		p.prefix++
+	}
+	due := p.prefix > 0 && p.prefix >= 2*p.woke
+	if due {
+		p.woke = p.prefix
+	}
+	p.mu.Unlock()
+	if due {
+		p.signal()
+	}
+}
+
+// exit records a worker's exit and wakes the reporter after the last one.
+func (p *chunkProgress) exit() {
+	p.mu.Lock()
+	p.live--
+	last := p.live == 0
+	p.mu.Unlock()
+	if last {
+		p.signal()
+	}
+}
+
+// signal wakes the reporter without blocking: a wake already pending
+// covers this one, since the reporter reads the progress after it wakes.
+func (p *chunkProgress) signal() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drain reports the completed candidate prefix (batches × batch, capped at
+// n) once per wake, until the last worker has exited and its prefix is
+// reported. At the first report error it stops further claims and returns
+// the error; the caller still waits for the workers.
+func (p *chunkProgress) drain(report func(done int) error, batch, n int) error {
+	for {
+		<-p.wake
+		p.mu.Lock()
+		prefix, finished := p.prefix, p.live == 0
+		p.mu.Unlock()
+		if err := report(min(prefix*batch, n)); err != nil {
+			p.stop.Store(true)
+			return err
+		}
+		if finished {
+			return nil
+		}
+	}
+}
+
 // generateSlots runs the candidate loop of GenerateCtx into caller-owned
 // per-candidate slots (len(slots) == cfg.Candidates, all entries nil on
 // entry): slot i receives candidate i's record iff it passed the privacy
@@ -250,7 +336,15 @@ type genCounters struct {
 // Candidate i's randomness stays a pure function of (Seed, IndexOffset+i),
 // so slot contents are byte-identical whatever the worker count or batch
 // size.
-func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []dataset.Record) (GenStats, error) {
+//
+// A non-nil report is called on the calling goroutine with a count done:
+// slots [0, done) are final, and each call's done is at least the last
+// one's. The chunk is reported while its workers run, at most
+// ⌊log₂ nb⌋ + 2 times for nb batches (see chunkProgress). Every claimed
+// batch completes, so the last report covers every candidate drawn,
+// cancelled or not. A report error stops further claims and is returned,
+// joined after ctx's error if both occur.
+func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []dataset.Record, report func(done int) error) (GenStats, error) {
 	start := time.Now()
 	if cfg.Candidates == 0 {
 		return GenStats{Elapsed: time.Since(start)}, ctx.Err()
@@ -284,6 +378,9 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 		mu     sync.Mutex
 		cursor atomic.Int64
 	)
+	// Assigned once, so the worker closures capture prog by value: a run
+	// that does not stream allocates nothing for it.
+	prog := newChunkProgress(report, (cfg.Candidates+batch-1)/batch, workers)
 	done := ctx.Done()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -301,6 +398,9 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 				case <-done:
 					break claim
 				default:
+				}
+				if prog != nil && prog.stop.Load() {
+					break
 				}
 				hi := int(cursor.Add(int64(batch)))
 				lo := hi - batch
@@ -327,6 +427,9 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 						c.pass++
 					}
 				}
+				if prog != nil {
+					prog.complete(lo / batch)
+				}
 			}
 			mu.Lock()
 			total.cands += c.cands
@@ -334,7 +437,14 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 			total.checked += c.checked
 			total.rejected += c.rejected
 			mu.Unlock()
+			if prog != nil {
+				prog.exit()
+			}
 		}()
+	}
+	var reportErr error
+	if prog != nil {
+		reportErr = prog.drain(report, batch, cfg.Candidates)
 	}
 	wg.Wait()
 
@@ -345,7 +455,13 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 		CheckedTotal: total.checked,
 		Elapsed:      time.Since(start),
 	}
-	return stats, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		if reportErr != nil {
+			return stats, errors.Join(err, reportErr)
+		}
+		return stats, err
+	}
+	return stats, reportErr
 }
 
 // GenerateTarget keeps drawing candidates until `target` records have been
@@ -371,16 +487,29 @@ func GenerateTargetCtx(ctx context.Context, mech *Mechanism, target, maxCandidat
 	return out, stats, err
 }
 
-// GenerateTargetStream is the incremental form of GenerateTargetCtx: every
-// batch of released records is handed to sink as soon as it is available
-// (never more than `target` records in total), so a serving layer can
-// stream synthetics while generation is still running. sink runs on the
-// caller's goroutine, in deterministic order; a sink error aborts the run.
-// The batch slice is reused between calls — sinks must not retain it past
-// the call (the records themselves are theirs to keep). The batching
-// schedule depends only on the released/candidate counts, which — by the
-// GenerateCtx determinism contract — depend only on the seed, so the
-// concatenation of all batches is identical for any worker count.
+// GenerateTargetStream is the incremental form of GenerateTargetCtx: the
+// released records reach sink while generation is still running (never
+// more than `target` records in total), so a serving layer can stream
+// synthetics as they pass.
+//
+// Candidates are drawn in chunks, each sized from the previous chunk's pass
+// rate, and every chunk runs to completion. A chunk is delivered while its
+// workers run: each newly completed prefix of its candidate batches
+// (GenConfig.BatchSize) is handed to sink, the first after one batch and
+// then whenever the completed prefix has at least doubled, so a chunk of
+// nb batches makes at most ⌊log₂ nb⌋ + 2 sink calls. sink runs on the
+// caller's goroutine and no worker waits for it, so sink time overlaps
+// generation. The batch slice is reused between calls — sinks
+// must not retain it past the call (the records themselves are theirs to
+// keep).
+//
+// Records arrive in candidate order, and the chunk schedule depends only
+// on the released/candidate counts, which — by the GenerateCtx determinism
+// contract — depend only on the seed, so the concatenation of all batches
+// and the returned counts are identical for any worker count; only how the
+// records are split into sink calls varies. A sink error stops the chunk's
+// workers at their next claim and is returned; a cancelled ctx stops them
+// the same way, and the records they completed are delivered first.
 //
 // The returned GenStats reports Released as the number of records actually
 // delivered to the sink: candidates that passed the privacy test but were
@@ -394,11 +523,35 @@ func GenerateTargetStream(ctx context.Context, mech *Mechanism, target, maxCandi
 	if maxCandidates <= 0 {
 		maxCandidates = 100 * target
 	}
-	// maxChunk bounds one batch's candidate count, and with it the size of
+	// maxChunk bounds one chunk's candidate count, and with it the size of
 	// the per-candidate slot buffer, whatever target a caller asks for.
 	const maxChunk = 1 << 20
 	var total GenStats
 	var slots, rows []dataset.Record
+	var scanned int // slots of the current chunk already delivered or trimmed
+	// deliver hands sink the released records among slots [scanned, done),
+	// trimmed at the target. It runs even when the chunk was cancelled, so
+	// "what was released so far" really reaches the caller — but it counts
+	// only what the sink accepted: a failed client write is not a release.
+	deliver := func(done int) error {
+		rows = rows[:0]
+		// Overshoot past the target is trimmed: never delivered, never counted.
+		for ; scanned < done && total.Released+len(rows) < target; scanned++ {
+			if y := slots[scanned]; y != nil {
+				rows = append(rows, y)
+			}
+		}
+		if len(rows) == 0 {
+			return nil
+		}
+		sinkStart := time.Now()
+		err := sink(rows)
+		total.SinkElapsed += time.Since(sinkStart)
+		if err == nil {
+			total.Released += len(rows)
+		}
+		return err
+	}
 	start := time.Now()
 	chunk := target
 	for total.Released < target && total.Candidates < maxCandidates {
@@ -419,49 +572,21 @@ func GenerateTargetStream(ctx context.Context, mech *Mechanism, target, maxCandi
 				slots[i] = nil
 			}
 		}
-		// One seed for the whole run; batches advance IndexOffset so every
+		scanned = 0
+		// One seed for the whole run; chunks advance IndexOffset so every
 		// candidate draws a distinct stream keyed on (seed, global index).
 		stats, err := generateSlots(ctx, mech, GenConfig{
 			Candidates:  chunk,
 			Workers:     workers,
 			Seed:        seed,
 			IndexOffset: uint64(total.Candidates),
-		}, slots)
+		}, slots, deliver)
 		total.Candidates += stats.Candidates
 		total.CheckedTotal += stats.CheckedTotal
 		total.SeedRejected += stats.SeedRejected
-		rows = rows[:0]
-		keep := target - total.Released
-		for _, y := range slots {
-			if y != nil {
-				rows = append(rows, y)
-				if len(rows) == keep {
-					break // overshoot: trimmed rows are never delivered, never counted
-				}
-			}
-		}
-		var sinkErr error
-		if len(rows) > 0 {
-			// Deliver even when the chunk was cancelled mid-run, so "what was
-			// released so far" really reaches the caller — but count only what
-			// the sink accepted: a failed client write is not a release.
-			sinkStart := time.Now()
-			sinkErr = sink(rows)
-			total.SinkElapsed += time.Since(sinkStart)
-			if sinkErr == nil {
-				total.Released += len(rows)
-			}
-		}
 		if err != nil {
 			total.Elapsed = time.Since(start)
-			if sinkErr != nil {
-				return total, errors.Join(err, sinkErr)
-			}
 			return total, err
-		}
-		if sinkErr != nil {
-			total.Elapsed = time.Since(start)
-			return total, sinkErr
 		}
 		// Adapt the next chunk to the observed pass rate.
 		need := target - total.Released

@@ -1,0 +1,285 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/bits"
+	"testing"
+
+	"repro/internal/dataset"
+)
+
+// referenceChunkedStream is GenerateTargetStream's chunk loop spelled out
+// over GenerateCtx: each chunk is generated to completion, its released
+// records are trimmed at the target and delivered at once, and the next
+// chunk is sized from this chunk's pass rate. The streaming kernel must
+// deliver the same records with the same statistics; only when records
+// leave may differ.
+func referenceChunkedStream(mech *Mechanism, target, maxCandidates, workers int, seed uint64) ([]dataset.Record, GenStats, error) {
+	if maxCandidates <= 0 {
+		maxCandidates = 100 * target
+	}
+	var total GenStats
+	var out []dataset.Record
+	chunk := target
+	for total.Released < target && total.Candidates < maxCandidates {
+		chunk = min(chunk, maxCandidates-total.Candidates, 1<<20)
+		ds, stats, err := GenerateCtx(context.Background(), mech, GenConfig{
+			Candidates:  chunk,
+			Workers:     workers,
+			Seed:        seed,
+			IndexOffset: uint64(total.Candidates),
+		})
+		if err != nil {
+			return out, total, err
+		}
+		total.Candidates += stats.Candidates
+		total.CheckedTotal += stats.CheckedTotal
+		total.SeedRejected += stats.SeedRejected
+		rows := ds.Rows()
+		if keep := target - total.Released; len(rows) > keep {
+			rows = rows[:keep]
+		}
+		out = append(out, rows...)
+		total.Released += len(rows)
+		if need := target - total.Released; need > 0 {
+			rate := max(stats.PassRate(), 0.01)
+			chunk = int(float64(need)/rate) + 1
+		}
+	}
+	if total.Released < target {
+		return out, total, fmt.Errorf("released only %d/%d records", total.Released, target)
+	}
+	return out, total, nil
+}
+
+// TestStreamMatchesChunkedReference pins what GenerateTargetStream
+// delivers — the records in order and all four GenStats counts — against
+// the chunk-then-deliver reference, over every kernel shape (the capped
+// walk included, so CheckedTotal is non-zero), at targets whose first
+// chunk is one batch and many, at several worker counts, and with
+// candidate budgets that leave the run short of its target.
+func TestStreamMatchesChunkedReference(t *testing.T) {
+	const seed = 17
+	cases := []struct{ target, maxCandidates int }{
+		{1, 0}, {37, 0}, {700, 0}, {3000, 0},
+		{700, 400}, {3000, 4000},
+	}
+	for name, mech := range batchMechs(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, c := range cases {
+				wantRows, want, wantErr := referenceChunkedStream(mech, c.target, c.maxCandidates, 1, seed)
+				for _, workers := range []int{1, 3, 8} {
+					tag := fmt.Sprintf("target=%d max=%d workers=%d", c.target, c.maxCandidates, workers)
+					var rows []dataset.Record
+					stats, err := GenerateTargetStream(context.Background(), mech, c.target, c.maxCandidates, workers, seed,
+						func(batch []dataset.Record) error {
+							rows = append(rows, batch...)
+							return nil
+						})
+					if (err != nil) != (wantErr != nil) {
+						t.Fatalf("%s: error %v, reference error %v", tag, err, wantErr)
+					}
+					if len(rows) != len(wantRows) {
+						t.Fatalf("%s: delivered %d records, reference %d", tag, len(rows), len(wantRows))
+					}
+					for i := range rows {
+						if !rows[i].Equal(wantRows[i]) {
+							t.Fatalf("%s: record %d differs from the reference", tag, i)
+						}
+					}
+					if stats.Candidates != want.Candidates || stats.Released != want.Released ||
+						stats.SeedRejected != want.SeedRejected || stats.CheckedTotal != want.CheckedTotal {
+						t.Fatalf("%s: stats %+v, reference %+v", tag, stats, want)
+					}
+					if walks(mech) && stats.CheckedTotal == 0 {
+						t.Fatalf("%s: the capped walk reported no checked seeds", tag)
+					}
+				}
+			}
+		})
+	}
+}
+
+// streamMech builds a mechanism with a mid-range pass rate (~0.65: few
+// seeds, randomized threshold) so target runs genuinely under-deliver their
+// first chunk and overshoot their final one.
+func streamMech(t testing.TB) *Mechanism {
+	t.Helper()
+	model := tinyModel(t, 56)
+	syn, err := NewSeedSynthesizer(model, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := tinySeeds(t, model, 60, 57)
+	mech, err := NewMechanism(syn, seeds, TestConfig{
+		K: 14, Gamma: 1.2, Randomized: true, Eps0: 0.4, MaxPlausible: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mech
+}
+
+// streamCase is one stream test configuration. Targets of a few dozen
+// records fit each chunk in one candidate batch, so a chunk makes at most
+// one sink call; a 1,000-record target's first chunk spans four batches,
+// which stream while they are generated.
+type streamCase struct{ target, workers int }
+
+func (c streamCase) String() string { return fmt.Sprintf("target=%d workers=%d", c.target, c.workers) }
+
+// TestStreamReleasedMatchesDelivered pins the over-reporting fix: when the
+// final chunk overshoots the target, GenStats.Released must equal what the
+// sink received, not the chunk pass counts.
+func TestStreamReleasedMatchesDelivered(t *testing.T) {
+	mech := streamMech(t)
+	for _, c := range []streamCase{{37, 3}, {1000, 1}, {1000, 3}} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			delivered := 0
+			stats, err := GenerateTargetStream(context.Background(), mech, c.target, 0, c.workers, seed, func(batch []dataset.Record) error {
+				delivered += len(batch)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if delivered != c.target {
+				t.Fatalf("%v seed %d: sink received %d records, want %d", c, seed, delivered, c.target)
+			}
+			if stats.Released != delivered {
+				t.Fatalf("%v seed %d: stats.Released = %d, sink received %d", c, seed, stats.Released, delivered)
+			}
+		}
+	}
+}
+
+// TestStreamSinkErrorNotCounted pins the swallowed-error fix: a batch the
+// sink rejects is not counted as released, the error surfaces, and the sink
+// is not called again.
+func TestStreamSinkErrorNotCounted(t *testing.T) {
+	mech := streamMech(t)
+	boom := errors.New("client gone")
+	for _, c := range []streamCase{{30, 2}, {1000, 1}, {1000, 3}} {
+		calls := 0
+		stats, err := GenerateTargetStream(context.Background(), mech, c.target, 0, c.workers, 3, func(batch []dataset.Record) error {
+			calls++
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("%v: stream error = %v, want the sink's error", c, err)
+		}
+		if calls != 1 {
+			t.Fatalf("%v: sink called %d times after failing, want 1", c, calls)
+		}
+		if stats.Released != 0 {
+			t.Fatalf("%v: stats.Released = %d after a failed delivery, want 0", c, stats.Released)
+		}
+	}
+}
+
+// TestStreamCancelKeepsDeliveredCount cancels from inside the sink and
+// checks the stats still reflect exactly the delivered records.
+func TestStreamCancelKeepsDeliveredCount(t *testing.T) {
+	mech := streamMech(t)
+	for _, workers := range []int{1, 2, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		delivered := 0
+		stats, err := GenerateTargetStream(ctx, mech, 1000, 0, workers, 3, func(batch []dataset.Record) error {
+			delivered += len(batch)
+			cancel() // client walks away after the first batch
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: stream error = %v, want context.Canceled", workers, err)
+		}
+		if delivered == 0 {
+			t.Fatalf("workers=%d: sink never ran", workers)
+		}
+		if stats.Released != delivered {
+			t.Fatalf("workers=%d: stats.Released = %d, sink received %d", workers, stats.Released, delivered)
+		}
+	}
+}
+
+// TestStreamBatchSliceReuse documents the sink contract: the batch slice is
+// invalidated by the next batch, but the records are the sink's to keep —
+// collected output must match a non-streaming run.
+func TestStreamBatchSliceReuse(t *testing.T) {
+	mech := streamMech(t)
+	for _, c := range []streamCase{{40, 2}, {1000, 1}, {1000, 3}} {
+		var kept []dataset.Record
+		_, err := GenerateTargetStream(context.Background(), mech, c.target, 0, c.workers, 9, func(batch []dataset.Record) error {
+			kept = append(kept, batch...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _, err := referenceChunkedStream(mech, c.target, 0, c.workers, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) != len(rows) {
+			t.Fatalf("%v: streamed %d records, collected %d", c, len(kept), len(rows))
+		}
+		for i := range kept {
+			if !kept[i].Equal(rows[i]) {
+				t.Fatalf("%v: record %d: streamed %v, collected %v", c, i, kept[i], rows[i])
+			}
+		}
+	}
+}
+
+// TestStreamDeliversBeforeChunkEnds pins that a multi-batch chunk streams:
+// a sink that fails on its first call must stop the chunk's workers before
+// the chunk's candidates are all drawn. A loop that delivers only after the
+// whole chunk fails here.
+func TestStreamDeliversBeforeChunkEnds(t *testing.T) {
+	mech := paperMech(t)
+	const chunk = 100000 // maxCandidates = target: the whole run is one chunk
+	boom := errors.New("client gone")
+	for _, workers := range []int{1, 3} {
+		calls := 0
+		stats, err := GenerateTargetStream(context.Background(), mech, chunk, chunk, workers, 5, func(batch []dataset.Record) error {
+			calls++
+			return boom
+		})
+		if !errors.Is(err, boom) || calls != 1 {
+			t.Fatalf("workers=%d: error %v after %d sink calls, want the sink's error after 1", workers, err, calls)
+		}
+		if stats.Candidates >= chunk {
+			t.Fatalf("workers=%d: drew all %d candidates of the chunk before the first delivery", workers, stats.Candidates)
+		}
+		if stats.Released != 0 {
+			t.Fatalf("workers=%d: stats.Released = %d after a failed delivery, want 0", workers, stats.Released)
+		}
+	}
+}
+
+// TestStreamSinkCallsBounded pins the wake rule's bound: one chunk of nb
+// candidate batches makes at most ⌊log₂ nb⌋ + 2 sink calls, however the
+// workers are scheduled.
+func TestStreamSinkCallsBounded(t *testing.T) {
+	mech := paperMech(t)
+	const chunk = 20000 // maxCandidates = target: the whole run is one chunk
+	nb := (chunk + defaultGenBatch - 1) / defaultGenBatch
+	bound := bits.Len(uint(nb)) - 1 + 2
+	for _, workers := range []int{1, 3, 8} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			calls := 0
+			stats, _ := GenerateTargetStream(context.Background(), mech, chunk, chunk, workers, seed, func(batch []dataset.Record) error {
+				calls++
+				return nil
+			})
+			if stats.Candidates != chunk {
+				t.Fatalf("workers=%d seed=%d: drew %d candidates, want one chunk of %d", workers, seed, stats.Candidates, chunk)
+			}
+			if calls < 1 || calls > bound {
+				t.Fatalf("workers=%d seed=%d: %d sink calls for %d batches, want 1..%d", workers, seed, calls, nb, bound)
+			}
+		}
+	}
+}

@@ -33,6 +33,40 @@ func TestPartitionIndexKnownValues(t *testing.T) {
 	}
 }
 
+// TestPartitionIndexLogKnownAnswers pins the partition index the kernel
+// computes at each γ⁻ⁱ boundary and at its two float64 neighbours. The
+// index decides which seeds are plausible, so it reaches released bytes
+// through math.Log; a toolchain or CPU whose math.Log rounds differently
+// fails here by name instead of as a golden diff. Mathematically the upper
+// neighbour of γ⁻ⁱ belongs to partition i−1; from i = 3 (γ = 2) and i = 2
+// (γ = 4) on the quotient rounds back to exactly i, which is what the
+// goldens were made with. The values were captured before any change to
+// the kernel.
+func TestPartitionIndexLogKnownAnswers(t *testing.T) {
+	// want[γ][i] is the index at {below, at, above} γ⁻ⁱ.
+	want := map[int][13][3]int{
+		2: {{0, 0, 0}, {1, 1, 0}, {2, 2, 1}, {3, 3, 3}, {4, 4, 4}, {5, 5, 5}, {6, 6, 6}, {7, 7, 7}, {8, 8, 8}, {9, 9, 9}, {10, 10, 10}, {11, 11, 11}, {12, 12, 12}},
+		3: {{0, 0, 0}, {1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {5, 5, 5}, {6, 6, 6}, {7, 7, 7}, {8, 8, 8}, {9, 9, 9}, {10, 10, 10}, {11, 11, 11}, {12, 12, 12}},
+		4: {{0, 0, 0}, {1, 1, 0}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {5, 5, 5}, {6, 6, 6}, {7, 7, 7}, {8, 8, 8}, {9, 9, 9}, {10, 10, 10}, {11, 11, 11}, {12, 12, 12}},
+		8: {{0, 0, 0}, {1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {5, 5, 5}, {6, 6, 6}, {7, 7, 7}, {8, 8, 8}, {9, 9, 9}, {10, 10, 10}, {11, 11, 11}, {12, 12, 12}},
+	}
+	for gamma, rows := range want {
+		logGamma := math.Log(float64(gamma))
+		pow := 1 // γ^i, exact in an int and in a float64 for i ≤ 12
+		for i, row := range rows {
+			// 1/γ^i divides by an exact float64, so p is float64(γ⁻ⁱ).
+			p := 1 / float64(pow)
+			for j, q := range [3]float64{math.Nextafter(p, 0), p, math.Nextafter(p, 2)} {
+				got, ok := partitionIndexLog(q, logGamma)
+				if !ok || got != row[j] {
+					t.Errorf("γ=%d i=%d: partitionIndexLog(%x) = %d, %v; want %d", gamma, i, math.Float64bits(q), got, ok, row[j])
+				}
+			}
+			pow *= gamma
+		}
+	}
+}
+
 func TestPartitionIndexInvalid(t *testing.T) {
 	for _, p := range []float64{0, -1, math.NaN()} {
 		if _, ok := PartitionIndex(p, 2); ok {

@@ -18,6 +18,26 @@ func moments(n int, draw func() float64) (mean, variance float64) {
 	return mean, variance
 }
 
+// TestLaplaceKnownAnswers pins the first Laplace(1) draws of one stream
+// bit for bit. The randomized privacy test's threshold and every DP count
+// are Laplace draws, so they reach released bytes through math.Log; a
+// toolchain or CPU whose math.Log rounds differently fails here by name
+// instead of as a golden diff.
+func TestLaplaceKnownAnswers(t *testing.T) {
+	want := [16]uint64{
+		0xc0059334ae24b9b7, 0x40045c917ace37cb, 0x3fd58a1d50b5cc2d, 0xbfc57d5a68f1976b,
+		0x3ffff9fe07132fa6, 0xbff3b18e45367141, 0xbfbf8525ef46df45, 0xbfb2d47d990fc4de,
+		0x3fe08a411100e1ac, 0x3fd3ef0bc90b3c24, 0x3f7e39e05a3108b3, 0x3fc7e91c38a2a8e5,
+		0x3ff7f9ca2c213676, 0x3fe6ace2bace0655, 0x3fd20952f1935dba, 0xbfd3937579f2256c,
+	}
+	r := NewStream(2017, 3)
+	for i, w := range want {
+		if got := math.Float64bits(r.Laplace(1)); got != w {
+			t.Errorf("draw %d: Laplace(1) bits %#016x, want %#016x", i, got, w)
+		}
+	}
+}
+
 func TestLaplaceMoments(t *testing.T) {
 	r := New(101)
 	for _, b := range []float64{0.5, 1, 2.5} {

@@ -522,7 +522,11 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 	// into it (see encoder.go), so steady-state encoding allocates nothing.
 	var buf []byte
 	var streamBytes int64
+	var firstRecord time.Time // when the first sink call began
 	sink := func(batch []dataset.Record) error {
+		if firstRecord.IsZero() {
+			firstRecord = time.Now()
+		}
 		if need := len(batch) * enc.recSize; cap(buf) < need {
 			buf = make([]byte, 0, need)
 		}
@@ -582,9 +586,16 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 	genSpan.SetAttr("releases", fmt.Sprint(releases))
 	genSpan.End()
 	sc.parts = append(sc.parts, fmt.Sprintf("generate=%d", time.Since(genStart).Milliseconds()))
-	// The flush stage is the slice of generate spent inside the NDJSON sink
-	// (encode + write + flush), measured by the generator per batch.
+	// The flush stage sums the time spent inside the NDJSON sink (encode +
+	// write + flush), measured by the generator around each call. Sink calls
+	// run while the workers keep generating, so it overlaps generate rather
+	// than being a slice of it.
 	sc.add("stream_flush", genStart, stats.SinkElapsed)
+	// Time to first record: from the start of generate to the first sink
+	// call, absent when no record was delivered.
+	if !firstRecord.IsZero() {
+		sc.add("first_record", genStart, firstRecord.Sub(genStart))
+	}
 	// GenStats.Released counts exactly the records the sink accepted — the
 	// stream caps it at the target and excludes failed deliveries — so the
 	// metrics, the X-Sgf-Released trailer and the ledger settle all read the

@@ -151,21 +151,35 @@ func TestAccessLogAndRequestID(t *testing.T) {
 // TestDebugTracesSynthesizeStages drives one synthesize request and asserts
 // its trace — per-stage spans included — is retrievable on
 // GET /v1/debug/traces, and that the stage timings also reached the client
-// in the X-Sgf-Stage-Ms trailer.
+// in the X-Sgf-Stage-Ms trailer. The request's first chunk spans several
+// candidate batches, so its records stream while it is generated, and the
+// time to its first record cannot exceed generate.
 func TestDebugTracesSynthesizeStages(t *testing.T) {
 	ts, _ := newObsServer(t, nil)
 	id := fitTestModel(t, ts)
 	req := baseSynthReq()
-	req["records"] = 64
+	req["records"] = 2000
 	body, resp := synthesize(t, ts, id, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("synthesize status = %d, body %s", resp.StatusCode, body)
 	}
 	stageMS := resp.Trailer.Get("X-Sgf-Stage-Ms")
-	for _, stage := range []string{"admit=", "acquire_workers=", "generate=", "stream_flush="} {
-		if !strings.Contains(stageMS, stage) {
+	stages := make(map[string]int)
+	for _, part := range strings.Split(stageMS, ";") {
+		name, ms, _ := strings.Cut(part, "=")
+		n, err := strconv.Atoi(ms)
+		if err != nil {
+			t.Fatalf("X-Sgf-Stage-Ms %q: part %q is not name=ms", stageMS, part)
+		}
+		stages[name] = n
+	}
+	for _, stage := range []string{"admit", "acquire_workers", "generate", "stream_flush", "first_record"} {
+		if _, ok := stages[stage]; !ok {
 			t.Errorf("X-Sgf-Stage-Ms %q missing %q", stageMS, stage)
 		}
+	}
+	if stages["first_record"] > stages["generate"] {
+		t.Errorf("X-Sgf-Stage-Ms %q: first_record after the end of generate", stageMS)
 	}
 
 	hr, err := http.Get(ts.URL + "/v1/debug/traces")
@@ -200,7 +214,7 @@ func TestDebugTracesSynthesizeStages(t *testing.T) {
 	for _, sp := range synth.Spans {
 		spans[sp.Name] = true
 	}
-	for _, name := range []string{"request", "admit", "acquire_workers", "generate", "stream_flush"} {
+	for _, name := range []string{"request", "admit", "acquire_workers", "generate", "stream_flush", "first_record"} {
 		if !spans[name] {
 			t.Errorf("synthesize trace missing span %q (have %v)", name, synth.Spans)
 		}

@@ -18,6 +18,10 @@ import (
 // Shrinking a grant never changes results — core.GenerateCtx's output is
 // worker-count independent — so elasticity costs latency only, never
 // reproducibility.
+//
+// Tokens count generation workers only. A streaming request's own handler
+// goroutine encodes and writes its records while its granted workers run,
+// so a request can use one core beyond its grant for that delivery.
 type WorkerPool struct {
 	tokens chan struct{}
 }

@@ -359,9 +359,14 @@ func (fm *FittedModel) Synthesize(ctx context.Context, opts SynthOptions) (*Data
 	return core.GenerateTargetCtx(ctx, mech, opts.Records, opts.MaxCandidates, opts.Workers, opts.Seed)
 }
 
-// SynthesizeStream is Synthesize with incremental delivery: released
-// batches are handed to sink as soon as they are available, in
-// deterministic order.
+// SynthesizeStream is Synthesize with incremental delivery: the released
+// records reach sink in deterministic order while generation is still
+// running. Each chunk of candidates hands sink its completed prefixes of
+// candidate batches, the first after one batch and then whenever the
+// prefix has doubled, so a chunk of nb batches makes at most
+// ⌊log₂ nb⌋ + 2 sink calls (see core.GenerateTargetStream). sink runs on
+// the caller's goroutine beside the workers, so its time overlaps
+// generation.
 func (fm *FittedModel) SynthesizeStream(ctx context.Context, opts SynthOptions, sink func(batch []Record) error) (GenStats, error) {
 	mech, err := fm.Mechanism(opts)
 	if err != nil {
