@@ -374,7 +374,7 @@ func sampleIncome(r *rng.RNG, educ, occ, hours, age, sex, marital, work, race in
 	}
 	score += dh
 	// Experience curve peaking near 50.
-	score += 0.55 - math.Abs(float64(age)-50)*0.028
+	score += 0.55 - float64(math.Abs(float64(age)-50)*0.028) // float64(): no fused multiply-add
 	if sex == 0 {
 		score += 0.35
 	}

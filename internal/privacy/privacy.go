@@ -12,6 +12,10 @@ import (
 	"repro/internal/rng"
 )
 
+// The float64() conversions around products round them before the add,
+// which the Go spec defines as forbidding a fused multiply-add, so an arm64
+// build computes the same values as an amd64 one.
+
 // Budget is an (ε, δ)-differential privacy guarantee.
 type Budget struct {
 	Epsilon float64
@@ -99,8 +103,8 @@ func AdvancedComposition(k int, eps, delta, deltaSlack float64) Budget {
 	}
 	kf := float64(k)
 	return Budget{
-		Epsilon: eps*math.Sqrt(2*kf*math.Log(1/deltaSlack)) + kf*eps*(math.Expm1(eps)),
-		Delta:   kf*delta + deltaSlack,
+		Epsilon: float64(eps*math.Sqrt(2*kf*math.Log(1/deltaSlack))) + float64(kf*eps*(math.Expm1(eps))),
+		Delta:   float64(kf*delta) + deltaSlack,
 	}
 }
 
@@ -193,8 +197,8 @@ func (a *Accountant) Spend(label string, b Budget, count int) {
 func (a *Accountant) Total() Budget {
 	var out Budget
 	for _, it := range a.items {
-		out.Epsilon += it.budget.Epsilon * float64(it.count)
-		out.Delta += it.budget.Delta * float64(it.count)
+		out.Epsilon += float64(it.budget.Epsilon * float64(it.count))
+		out.Delta += float64(it.budget.Delta * float64(it.count))
 	}
 	return out
 }

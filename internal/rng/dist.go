@@ -2,6 +2,10 @@ package rng
 
 import "math"
 
+// The float64() conversions around products round them before the add,
+// which the Go spec defines as forbidding a fused multiply-add, so an arm64
+// build computes the same values as an amd64 one.
+
 // Exponential returns a sample from the exponential distribution with the
 // given rate (mean 1/rate). It panics if rate <= 0.
 func (r *RNG) Exponential(rate float64) float64 {
@@ -31,11 +35,11 @@ func (r *RNG) Laplace(b float64) float64 {
 // and standard deviation (Marsaglia polar method).
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
+			return mean + float64(stddev*u*math.Sqrt(-2*math.Log(s)/s))
 		}
 	}
 }
@@ -58,16 +62,16 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := r.Normal(0, 1)
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := r.Float64Open()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v * scale
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v * scale
 		}
 	}
@@ -146,7 +150,7 @@ func (r *RNG) UnitSphere(out []float64) {
 		norm := 0.0
 		for i := range out {
 			out[i] = r.Normal(0, 1)
-			norm += out[i] * out[i]
+			norm += float64(out[i] * out[i])
 		}
 		norm = math.Sqrt(norm)
 		if norm > 1e-12 {

@@ -194,8 +194,10 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
+// The outer conversion rounds the scaled value, so a caller's add or
+// subtract cannot fuse with the scaling into a multiply-add on arm64.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float64Open returns a uniform float64 in (0, 1); it never returns 0, which

@@ -6,19 +6,15 @@ import (
 )
 
 // This file provides the precomputed-table draw primitives behind the
-// bayesnet conditional tables: exact cumulative-probability rows (with an
-// optional guide index for O(1) expected draws) and Walker alias tables.
+// bayesnet conditional tables: exact cumulative-probability rows, with an
+// optional guide index for O(1) expected draws.
 //
-// The two have different contracts. DrawCum/DrawCumGuided compute the exact
-// same u → index mapping as Categorical — first index i with
-// u·total < cum[i], evaluated with the identical floating-point
-// expressions — so a table-backed draw consumes the same RNG state and
-// returns the same value as the linear scan it replaces. That is what lets
-// the table-backed sampling path promise the bytes of a plain Categorical
-// draw. A Walker alias table preserves the *distribution* but not
-// the mapping (it repartitions [0,1) into equal columns), so it can never
-// be substituted on a stream-determinism-pinned path; it is provided for
-// workloads that only need distributional equality.
+// DrawCum/DrawCumGuided compute the exact same u → index mapping as
+// Categorical — first index i with u·total < cum[i], evaluated with the
+// identical floating-point expressions — so a table-backed draw consumes
+// the same RNG state and returns the same value as the linear scan it
+// replaces. That is what lets the table-backed sampling path promise the
+// bytes of a plain Categorical draw.
 
 // errWeights is the shared validation for table builders: every weight must
 // be finite and non-negative, and the total must be positive and finite.
@@ -142,75 +138,4 @@ func (r *RNG) DrawCumGuided(cum []float64, guide []uint32) int {
 		}
 	}
 	return cumFallback(cum)
-}
-
-// AliasTable is a Walker alias table: a distribution over n values
-// repartitioned into n equal-width columns of [0, 1), each split between
-// its own value and one alias, so a draw costs one uniform and at most one
-// comparison regardless of n.
-type AliasTable struct {
-	prob  []float64 // acceptance threshold of column i, in [0, 1]
-	alias []int32   // the column's other value
-}
-
-// NewAliasTable builds an alias table with Vose's O(n) construction. It
-// returns an error for empty, negative, NaN, infinite or all-zero weights.
-func NewAliasTable(weights []float64) (*AliasTable, error) {
-	total, err := errWeights(weights)
-	if err != nil {
-		return nil, err
-	}
-	n := len(weights)
-	t := &AliasTable{prob: make([]float64, n), alias: make([]int32, n)}
-	// Scaled weights: mean 1 per column.
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		t.prob[s] = scaled[s]
-		t.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	// Leftovers hold (up to rounding) exactly probability 1: they keep their
-	// whole column. A zero-weight value can never be left over — it always
-	// pairs with a large column and keeps threshold 0.
-	for _, l := range large {
-		t.prob[l] = 1
-	}
-	for _, s := range small {
-		t.prob[s] = 1
-	}
-	return t, nil
-}
-
-// Len returns the number of values the table samples over.
-func (t *AliasTable) Len() int { return len(t.prob) }
-
-// DrawAlias samples an index from the alias table, consuming one Float64:
-// the integer part picks the column, the fractional part picks between the
-// column's own value and its alias.
-func (r *RNG) DrawAlias(t *AliasTable) int {
-	x := r.Float64() * float64(len(t.prob))
-	i := int(x)
-	if x-float64(i) < t.prob[i] {
-		return i
-	}
-	return int(t.alias[i])
 }

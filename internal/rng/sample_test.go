@@ -100,68 +100,6 @@ func TestBuildCumRejectsPoisoned(t *testing.T) {
 		if _, err := BuildCum(w, nil); err == nil {
 			t.Errorf("case %d: BuildCum(%v) accepted poisoned weights", i, w)
 		}
-		if _, err := NewAliasTable(w); err == nil {
-			t.Errorf("case %d: NewAliasTable(%v) accepted poisoned weights", i, w)
-		}
-	}
-}
-
-// TestAliasFrequencies mirrors TestCategoricalFrequencies for the Walker
-// alias table: zero-weight categories are never drawn and the empirical
-// frequencies match the weights within 5σ.
-func TestAliasFrequencies(t *testing.T) {
-	r := New(37)
-	w := []float64{1, 0, 3, 6}
-	tab, err := NewAliasTable(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, len(w))
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		counts[r.DrawAlias(tab)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight category sampled %d times", counts[1])
-	}
-	for i, wi := range w {
-		want := wi / 10 * draws
-		if wi > 0 && math.Abs(float64(counts[i])-want) > 5*math.Sqrt(want) {
-			t.Errorf("category %d count %d, want ~%.0f", i, counts[i], want)
-		}
-	}
-}
-
-// TestAliasFrequenciesSkewed repeats the frequency check on a heavily
-// skewed 64-value distribution — the regime where alias columns are mostly
-// alias mass.
-func TestAliasFrequenciesSkewed(t *testing.T) {
-	r := New(53)
-	w := make([]float64, 64)
-	for i := range w {
-		w[i] = math.Pow(0.8, float64(i))
-	}
-	total := 0.0
-	for _, wi := range w {
-		total += wi
-	}
-	tab, err := NewAliasTable(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, len(w))
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		counts[r.DrawAlias(tab)]++
-	}
-	for i, wi := range w {
-		want := wi / total * draws
-		if want < 10 {
-			continue // too rare for a tight bound
-		}
-		if math.Abs(float64(counts[i])-want) > 5*math.Sqrt(want) {
-			t.Errorf("category %d count %d, want ~%.0f", i, counts[i], want)
-		}
 	}
 }
 
@@ -185,18 +123,5 @@ func BenchmarkDrawCumGuided64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.DrawCumGuided(cum, guide)
-	}
-}
-
-func BenchmarkDrawAlias64(b *testing.B) {
-	r := New(1)
-	w := randomWeights(New(2), 64)
-	tab, err := NewAliasTable(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.DrawAlias(tab)
 	}
 }

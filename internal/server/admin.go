@@ -209,7 +209,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, tn *tenant
 		writeError(w, http.StatusConflict, "model %s is being deleted; retry", snap.ID)
 		return
 	}
-	s.recordOwner(entry, tn)
+	s.reg.AddOwner(entry, jobOwner(tn))
 	status := http.StatusCreated
 	if !fresh {
 		status = http.StatusOK

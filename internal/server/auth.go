@@ -97,7 +97,7 @@ func canSeeJob(tn *tenant.Identity, owner string) bool {
 // canSeeModel reports whether the tenant may observe a model entry. Admins
 // see every model; other tenants only models they registered themselves
 // (models are content-addressed, so "registered" means "supplied the same
-// data" — see ModelEntry.AddOwner). A nil tenant sees everything.
+// data" — see Registry.AddOwner). A nil tenant sees everything.
 func canSeeModel(tn *tenant.Identity, e *ModelEntry) bool {
 	if tn == nil || tn.Role() == tenant.RoleAdmin {
 		return true
@@ -136,24 +136,13 @@ func (s *Server) getModelFor(id string, tn *tenant.Identity) (*ModelEntry, bool)
 	return s.reg.Get(id)
 }
 
-// jobOwner names the job owner a launch by this tenant should record.
+// jobOwner names the owner this tenant's jobs, models and ledger account
+// are recorded under ("" with authentication off).
 func jobOwner(tn *tenant.Identity) string {
 	if tn == nil {
 		return ""
 	}
 	return tn.Name
-}
-
-// recordOwner attributes a model to the requesting tenant and — when the
-// owner set actually grew and persistence is on — schedules the snapshot
-// rewrite through the statelog, so the ownership survives a restart.
-func (s *Server) recordOwner(entry *ModelEntry, tn *tenant.Identity) {
-	if tn == nil {
-		return
-	}
-	if entry.AddOwner(tn.Name) && s.statelog != nil {
-		s.statelog.NoteModelOwner(entry.ID)
-	}
 }
 
 // acquireWorkers obtains generation workers for a request: it reserves

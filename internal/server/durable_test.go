@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/server"
 	"repro/internal/tenant"
 )
@@ -368,5 +370,216 @@ func TestHealthzReportsLedgerErrorsDistinctly(t *testing.T) {
 	}
 	if health.Privacy.RecordsTotal != 25 {
 		t.Fatalf("privacy_ledger records_total = %d, want 25", health.Privacy.RecordsTotal)
+	}
+}
+
+// waitModelReady polls GET /v1/models/{id} until the model is ready.
+func waitModelReady(t *testing.T, ts *httptest.Server, id, key string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st, body := getBody(t, ts.URL+"/v1/models/"+id, key)
+		if st == http.StatusOK && strings.Contains(body, `"state":"ready"`) {
+			return
+		}
+		if st != http.StatusOK || strings.Contains(body, `"state":"failed"`) {
+			t.Fatalf("model %s: status %d: %s", id, st, body)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("model %s never became ready", id)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// runEvalJob launches a pipeline-only evaluation as the given writer and
+// waits until it is done, returning its ID.
+func runEvalJob(t *testing.T, ts *httptest.Server, key string) string {
+	t.Helper()
+	cfg := smallSuiteConfig()
+	cfg.Sections = []string{"pipeline"}
+	resp := do(t, http.MethodPost, ts.URL+"/v1/eval", key, cfg)
+	if resp.StatusCode != http.StatusAccepted {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("eval launch status %d: %s", resp.StatusCode, body)
+	}
+	var acc struct {
+		Job struct {
+			ID string `json:"id"`
+		} `json:"job"`
+	}
+	decodeJSON(t, resp, &acc)
+	if info := pollJobAs(t, ts, acc.Job.ID, key); info.State != jobs.StateDone {
+		t.Fatalf("job %s ended %s: %s", acc.Job.ID, info.State, info.Error)
+	}
+	return acc.Job.ID
+}
+
+// waitJobRecord waits until the finished job's record is on disk.
+func waitJobRecord(t *testing.T, dir, id string) string {
+	t.Helper()
+	path := filepath.Join(dir, id+".job")
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return path
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job record %s never written", path)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// stopServer stops serving, then closes the server (the flush every
+// restart test goes through).
+func stopServer(t *testing.T, ts *httptest.Server, srv *server.Server) {
+	t.Helper()
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestCoOwnershipSurvivesRestart: a second tenant's identical upload makes
+// it a co-owner on disk whenever it arrives — while the first owner's fit
+// is still running, or after the model is ready. After a restart both
+// owners read the model and a third writer still gets 404.
+func TestCoOwnershipSurvivesRestart(t *testing.T) {
+	for _, duringFit := range []bool{true, false} {
+		name := "after-ready"
+		if duringFit {
+			name = "during-fit"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ts1, srv1 := authStoreServer(t, dir, server.Config{})
+			entered, gate := make(chan struct{}), make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(release) // never leave the fit parked
+			if duringFit {
+				srv1.SetFitHook(func() { close(entered); <-gate })
+			}
+
+			id := fitAs(t, ts1, keyAlice, 11)
+			if duringFit {
+				<-entered // alice's fit holds the gate: the entry is fitting
+				if got := fitAs(t, ts1, keyBob, 11); got != id {
+					t.Fatalf("bob's identical upload got %s, want %s", got, id)
+				}
+				release()
+			}
+			waitModelReady(t, ts1, id, keyAlice)
+			if !duringFit {
+				if got := fitAs(t, ts1, keyBob, 11); got != id {
+					t.Fatalf("bob's identical upload got %s, want %s", got, id)
+				}
+			}
+			stopServer(t, ts1, srv1)
+
+			ts2, _ := authStoreServer(t, dir, server.Config{})
+			for _, key := range []string{keyAlice, keyBob} {
+				if st, body := getBody(t, ts2.URL+"/v1/models/"+id, key); st != http.StatusOK {
+					t.Fatalf("owner lost the model across the restart: %d %s", st, body)
+				}
+			}
+			if st, _ := getBody(t, ts2.URL+"/v1/models/"+id, keyTurtle); st != http.StatusNotFound {
+				t.Fatalf("a third writer sees the model after the restart: %d", st)
+			}
+		})
+	}
+}
+
+// TestDeletedJobStaysDeleted: a finished job deleted before a restart does
+// not come back after it.
+func TestDeletedJobStaysDeleted(t *testing.T) {
+	dir := t.TempDir()
+	ts1, srv1 := authStoreServer(t, dir, server.Config{})
+	jobID := runEvalJob(t, ts1, keyAlice)
+	waitJobRecord(t, dir, jobID) // the delete must remove a written record
+	if got := status(t, do(t, http.MethodDelete, ts1.URL+"/v1/jobs/"+jobID, keyAlice, nil)); got != http.StatusOK {
+		t.Fatalf("DELETE finished job = %d, want 200", got)
+	}
+	stopServer(t, ts1, srv1)
+
+	ts2, _ := authStoreServer(t, dir, server.Config{})
+	for _, path := range []string{"/v1/jobs/" + jobID, "/v1/jobs/" + jobID + "/result"} {
+		if st, body := getBody(t, ts2.URL+path, keyAlice); st != http.StatusNotFound {
+			t.Fatalf("GET %s after the restart = %d (%s), want 404", path, st, body)
+		}
+	}
+}
+
+// TestFailedLedgerFlushRecovers: a ledger write that fails (a directory
+// squats on the ledger file) is retried at Close, so the charge survives
+// the restart once the squat is gone.
+func TestFailedLedgerFlushRecovers(t *testing.T) {
+	dir := t.TempDir()
+	ts1, srv1 := authStoreServer(t, dir, server.Config{})
+	id := fitAs(t, ts1, keyAlice, 11)
+
+	squat := filepath.Join(dir, "ledger.v2")
+	if err := os.MkdirAll(filepath.Join(squat, "squat"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sresp := do(t, http.MethodPost, ts1.URL+"/v1/models/"+id+"/synthesize", keyAlice, baseSynthReq())
+	if got := status(t, sresp); got != http.StatusOK {
+		t.Fatalf("synthesize status %d", got)
+	}
+	// Wait for the failed write, so the retry is what the restart sees.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var health struct {
+			Store struct {
+				LedgerErrors int64 `json:"ledger_errors"`
+			} `json:"store"`
+		}
+		resp, err := http.Get(ts1.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeJSON(t, resp, &health)
+		if health.Store.LedgerErrors > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the ledger write never failed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := os.RemoveAll(squat); err != nil {
+		t.Fatal(err)
+	}
+	stopServer(t, ts1, srv1)
+
+	ts2, _ := authStoreServer(t, dir, server.Config{})
+	if got := scrapeMetric(t, ts2, `sgfd_tenant_privacy_budget_records_total{tenant="alice"}`); got != "25" {
+		t.Fatalf("alice's restored ledger = %q records, want 25", got)
+	}
+}
+
+// TestServerCloseRestoresJobRecords: Close writes the record of every
+// retained finished job whose record is missing from disk (the second
+// chance Close gives model snapshots), so the result survives the restart
+// byte for byte.
+func TestServerCloseRestoresJobRecords(t *testing.T) {
+	dir := t.TempDir()
+	ts1, srv1 := authStoreServer(t, dir, server.Config{})
+	jobID := runEvalJob(t, ts1, keyAlice)
+	st, result1 := getBody(t, ts1.URL+"/v1/jobs/"+jobID+"/result", keyAlice)
+	if st != http.StatusOK {
+		t.Fatalf("result status %d", st)
+	}
+	// Simulate a lost record (removed behind the server's back).
+	if err := os.Remove(waitJobRecord(t, dir, jobID)); err != nil {
+		t.Fatal(err)
+	}
+	stopServer(t, ts1, srv1)
+
+	ts2, _ := authStoreServer(t, dir, server.Config{})
+	st, result2 := getBody(t, ts2.URL+"/v1/jobs/"+jobID+"/result", keyAlice)
+	if st != http.StatusOK || result2 != result1 {
+		t.Fatalf("result after the restart: status %d\npre:  %s\npost: %s", st, result1, result2)
 	}
 }

@@ -36,10 +36,10 @@ const (
 	maxEvalSectionUnits = 1_000_000 // per-section workload knobs (probes, candidates, samples)
 )
 
-// jobRecord renders a finished job as its persistent form — the statelog's
-// resolver. It returns false when the job is gone (evicted while the put
-// was queued), unfinished, failed, or holds something other than a suite
-// result; in every such case there is nothing worth persisting.
+// jobRecord renders a finished job as its persistent form. It returns false
+// when the job is gone (deleted or evicted), unfinished, failed, or holds
+// something other than a suite result; in every such case there is nothing
+// worth persisting.
 func (s *Server) jobRecord(id string) (*store.JobRecord, bool) {
 	j, ok := s.jobs.Get(id)
 	if !ok {
@@ -67,6 +67,37 @@ func (s *Server) jobRecord(id string) (*store.JobRecord, bool) {
 		Finished: finished,
 		Result:   raw,
 	}, true
+}
+
+// putJob writes a finished job's record: the OnFinish hook, and Close for a
+// retained job whose record is missing. It holds jobMu, as deleteJob does,
+// and writes only while the manager still holds the job, so a DELETE that
+// races the finish either removes the written record or leaves nothing to
+// write: no deleted job revives at the next boot. A failed write is logged
+// (and counted in the store's stats); Close retries it.
+func (s *Server) putJob(id string) {
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	rec, ok := s.jobRecord(id)
+	if !ok || s.jobsClosed {
+		return
+	}
+	if err := s.store.PutJob(rec); err != nil {
+		s.logWriteError("job record write", "job", id, err)
+	}
+}
+
+// deleteJob removes the record of a job that left the manager: the OnEvict
+// hook (retention, DELETE, or a restore displaced at boot).
+func (s *Server) deleteJob(id string) {
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	if s.jobsClosed {
+		return
+	}
+	if err := s.store.DeleteJob(id); err != nil && !errors.Is(err, store.ErrNotFound) {
+		s.logWriteError("job record delete", "job", id, err)
+	}
 }
 
 // restoreJobs revives persisted finished-job results into the job manager

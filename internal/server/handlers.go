@@ -280,7 +280,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request, tn *tenant.Id
 	key := hex.EncodeToString(hash.Sum(nil))
 
 	if entry, ok := s.reg.Lookup(key); ok {
-		s.recordOwner(entry, tn)
+		s.reg.AddOwner(entry, jobOwner(tn))
 		state, _ := entry.State()
 		writeJSON(w, http.StatusOK, fitResponse{
 			ID: entry.ID, State: state, Cached: true, Backend: entry.Opts.Backend, Rows: entry.Rows, Clean: entry.Clean,
@@ -324,7 +324,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request, tn *tenant.Id
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	s.recordOwner(entry, tn)
+	s.reg.AddOwner(entry, jobOwner(tn))
 	state, _ := entry.State()
 	status := http.StatusAccepted
 	if cached {
@@ -450,12 +450,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 		return
 	}
 	released := 0
-	defer func() {
-		settle(released)
-		if released > 0 && s.statelog != nil {
-			s.statelog.NoteLedger()
-		}
-	}()
+	defer func() { settle(released) }()
 
 	ctx := r.Context()
 	s.metrics.SynthesizeStart()

@@ -19,8 +19,8 @@ import (
 // not of anything a single request can see. The ledger keeps those counts,
 // admission-checks each synthesize request against a configurable lifetime
 // (ε, δ) budget before any generation work starts (403 when exhausted),
-// and is persisted through the statelog so a restart cannot silently reset
-// the accounting.
+// and, with a store attached, writes settled spend behind the stream so a
+// restart cannot silently reset the accounting.
 //
 // Counts are kept per (k, γ, ε0) tuple because the per-record guarantee —
 // and therefore the composed total — depends on the exact mechanism
@@ -72,10 +72,10 @@ func (k releaseKey) accountable() bool {
 		!math.IsInf(k.eps0, 0) && !math.IsNaN(k.eps0)
 }
 
-// account is one tenant's ledger state. spent is durable (persisted via
-// the statelog); pending reserves in-flight requests so two concurrent
-// streams cannot both squeeze through the same remaining budget; denied
-// counts admission refusals for the metrics.
+// account is one tenant's ledger state. spent is durable (written to the
+// store by the ledger's flusher); pending reserves in-flight requests so two
+// concurrent streams cannot both squeeze through the same remaining budget;
+// denied counts admission refusals for the metrics.
 type account struct {
 	spent   map[releaseKey]int64
 	pending map[releaseKey]int64
@@ -88,9 +88,24 @@ type account struct {
 
 // ledger is the in-memory accounting structure. All methods are safe for
 // concurrent use.
+//
+// With a store attached (persistTo), the ledger is write-behind: a settle
+// that delivered records marks it dirty and wakes one flusher goroutine,
+// which writes the settled spend through store.PutLedger. A burst of
+// settles coalesces into one write, and no disk write sits between
+// admission and a response's last byte. A crash can therefore drop settled
+// charges the flusher has not written yet.
 type ledger struct {
 	mu       sync.Mutex
 	accounts map[string]*account
+
+	st      *store.Store  // nil: nothing persists
+	onErr   func(error)   // reports a failed write
+	dirty   bool          // settled spend not yet written; guarded by mu
+	kick    chan struct{} // buffered(1): at most one pending wakeup
+	stop    chan struct{} // closed by close
+	stopped chan struct{} // closed when the flusher exits
+	once    sync.Once     // close runs once
 }
 
 func newLedger() *ledger {
@@ -186,13 +201,17 @@ func (l *ledger) admit(tenant string, k int, gamma, eps0 float64, n int, maxEps,
 	return func(delivered int) {
 		once.Do(func() {
 			l.mu.Lock()
-			defer l.mu.Unlock()
 			a.pending[key] -= int64(n)
 			if a.pending[key] <= 0 {
 				delete(a.pending, key)
 			}
 			if delivered > 0 {
 				a.spent[key] += int64(delivered)
+				l.dirty = true
+			}
+			l.mu.Unlock()
+			if delivered > 0 {
+				l.wake()
 			}
 		})
 	}, nil
@@ -210,8 +229,70 @@ func (l *ledger) restore(st *store.Ledger) {
 	}
 }
 
-// snapshot renders the durable spend as a store.Ledger — what the statelog
-// flushes. Pending reservations are volatile by design: a crashed stream
+// persistTo attaches the store and starts the flusher. Call it once,
+// before the first admission.
+func (l *ledger) persistTo(st *store.Store, onErr func(error)) {
+	l.st, l.onErr = st, onErr
+	l.kick, l.stop, l.stopped = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(l.stopped)
+		for {
+			select {
+			case <-l.kick:
+				l.flush()
+			case <-l.stop:
+				return
+			}
+		}
+	}()
+}
+
+// wake nudges the flusher after a settle marked the ledger dirty. kick is
+// never closed, so a wake after close only fills its buffer.
+func (l *ledger) wake() {
+	if l.st == nil {
+		return
+	}
+	select {
+	case l.kick <- struct{}{}:
+	default: // a wakeup is already pending; the flusher will see the charge
+	}
+}
+
+// flush writes the settled spend if any is unwritten. A failed write
+// re-marks the ledger dirty without waking the flusher (an immediate retry
+// would spin on a persistent error): the next charge or close retries it.
+func (l *ledger) flush() {
+	l.mu.Lock()
+	dirty := l.dirty
+	l.dirty = false
+	l.mu.Unlock()
+	if !dirty {
+		return
+	}
+	if err := l.st.PutLedger(l.snapshot()); err != nil {
+		l.mu.Lock()
+		l.dirty = true
+		l.mu.Unlock()
+		l.onErr(err)
+	}
+}
+
+// close stops the flusher and writes any spend still unwritten. It is
+// idempotent and a no-op without a store.
+func (l *ledger) close() {
+	if l.st == nil {
+		return
+	}
+	l.once.Do(func() {
+		close(l.stop)
+		<-l.stopped
+		l.flush()
+	})
+}
+
+// snapshot renders the durable spend as a store.Ledger — what the flusher
+// writes. Pending reservations are volatile by design: a crashed stream
 // delivered whatever it delivered, and only settled counts are facts.
 func (l *ledger) snapshot() *store.Ledger {
 	l.mu.Lock()

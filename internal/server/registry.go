@@ -68,6 +68,13 @@ type ModelEntry struct {
 	// done is closed when fitting finishes, whatever the outcome.
 	done chan struct{}
 
+	// persistMu serializes the entry's snapshot writes with its owner
+	// additions: the fit's write-through holds it across the write and the
+	// switch to ready, Registry.AddOwner across the name and the rewrite,
+	// and Flush and eviction across theirs. Lock order: persistMu before
+	// r.mu and mu, never after.
+	persistMu sync.Mutex
+
 	mu     sync.Mutex
 	state  ModelState
 	err    error
@@ -81,32 +88,8 @@ type ModelEntry struct {
 	// warm-start, so a restart preserves tenant isolation instead of
 	// resetting revived models to unowned. nil until the first owner.
 	owners map[string]struct{}
-	// ownersRev counts owner additions; the fit goroutine compares it
-	// across its write-through snapshot to catch owners who arrived while
-	// the snapshot was being written.
-	ownersRev int
 
 	elem *list.Element // LRU position, guarded by the registry lock
-}
-
-// AddOwner records a tenant as an owner of the model, reporting whether the
-// set grew (the caller's cue to re-persist the snapshot). Empty names
-// (authentication disabled) are ignored.
-func (e *ModelEntry) AddOwner(name string) bool {
-	if name == "" {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.owners[name]; ok {
-		return false
-	}
-	if e.owners == nil {
-		e.owners = make(map[string]struct{})
-	}
-	e.owners[name] = struct{}{}
-	e.ownersRev++
-	return true
 }
 
 // OwnedBy reports whether the named tenant registered this model.
@@ -560,15 +543,16 @@ func (r *Registry) Flush() error {
 	}
 	var firstErr error
 	for _, e := range r.Entries() {
+		e.persistMu.Lock()
 		e.mu.Lock()
 		ready, fm := e.state == StateReady, e.fitted
 		e.mu.Unlock()
-		if !ready || r.store.Has(e.ID) {
-			continue
+		if ready && !r.store.Has(e.ID) {
+			if err := r.store.Put(r.snapshotFor(e, fm)); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
-		if err := r.store.Put(r.snapshotFor(e, fm)); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		e.persistMu.Unlock()
 	}
 	return firstErr
 }
@@ -592,34 +576,40 @@ func (r *Registry) snapshotFor(e *ModelEntry, fm *sgf.FittedModel) *store.Snapsh
 	}
 }
 
-// persistEntry rewrites a resident ready model's snapshot — the statelog
-// path for ownership changes. retry=true means the entry exists but is not
-// persistable yet (still fitting); the caller should try again later. An
-// absent entry is not an error: it was evicted or removed, and its
-// snapshot went with it.
-func (r *Registry) persistEntry(id string) (retry bool) {
-	if r.store == nil {
-		return false
+// AddOwner records a tenant as an owner of the model. Empty names
+// (authentication disabled) are ignored. When the set grows and the entry
+// is ready, still resident and backed by a store, the snapshot is rewritten
+// before AddOwner returns, so the owner survives a restart. An owner added
+// while the model fits needs no write of its own: the fit holds persistMu
+// across its write-through and the switch to ready, so the owner is either
+// in that write or finds the entry ready.
+func (r *Registry) AddOwner(e *ModelEntry, name string) {
+	if name == "" {
+		return
 	}
-	e, ok := r.Resident(id)
-	if !ok {
-		return false
-	}
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
 	e.mu.Lock()
+	_, known := e.owners[name]
+	if !known {
+		if e.owners == nil {
+			e.owners = make(map[string]struct{})
+		}
+		e.owners[name] = struct{}{}
+	}
 	ready, fm := e.state == StateReady, e.fitted
 	e.mu.Unlock()
-	if !ready {
-		// Still fitting: the fit's write-through (and its owners recheck)
-		// will capture the current set; keep the entry marked in case the
-		// fit loses a photo-finish race with a late AddOwner.
-		return true
+	if known || !ready || r.store == nil {
+		return
+	}
+	if cur, ok := r.Resident(e.ID); !ok || cur != e {
+		return // evicted or removed: its snapshot went with it
 	}
 	if err := r.store.Put(r.snapshotFor(e, fm)); err != nil {
 		// The failure also lands in the store's stats (visible on /healthz);
 		// the log line names the model so an operator can act on it.
-		r.logStoreError("persist", id, err)
+		r.logStoreError("persist", e.ID, err)
 	}
-	return false
 }
 
 // Open returns the entry for the given cache key, fitting it in the
@@ -677,36 +667,24 @@ func (r *Registry) fit(e *ModelEntry, data *dataset.Dataset, opts sgf.FitOptions
 	// still StateFitting here, so it cannot be LRU-evicted (which would
 	// delete the snapshot) until the snapshot exists. A write failure is
 	// recorded in the store's stats and surfaced on /healthz; the model
-	// still serves from memory.
-	ownersAtPut := -1
+	// still serves from memory. persistMu spans the write and the switch to
+	// ready, so every owner AddOwner records is in this write or in its own.
+	e.persistMu.Lock()
+	e.mu.Lock()
+	e.fitDur = dur // snapshotFor reads it under the entry lock
+	e.mu.Unlock()
 	if err == nil && r.store != nil {
-		e.mu.Lock()
-		e.fitDur = dur // snapshotFor reads it under the entry lock
-		ownersAtPut = e.ownersRev
-		e.mu.Unlock()
 		_ = r.store.Put(r.snapshotFor(e, fm))
 	}
-
 	e.mu.Lock()
-	e.fitDur = dur
 	if err != nil {
 		e.state, e.err = StateFailed, err
 	} else {
 		e.state, e.fitted = StateReady, fm
 	}
-	ownersNow := e.ownersRev
 	e.mu.Unlock()
+	e.persistMu.Unlock()
 	close(e.done)
-
-	// Owners who registered between the snapshot write and publication
-	// would otherwise be lost from disk: their AddOwner saw a fitting entry
-	// (so the statelog path did not re-persist) while the snapshot had
-	// already been encoded. Publication happened above, so any *later*
-	// AddOwner observes a ready entry and takes the statelog path; this
-	// recheck closes the window for the earlier ones.
-	if ownersAtPut >= 0 && ownersNow != ownersAtPut {
-		_ = r.store.Put(r.snapshotFor(e, fm))
-	}
 
 	r.mu.Lock()
 	r.pending--
@@ -756,6 +734,10 @@ func (r *Registry) dropSnapshots(evicted []*ModelEntry) {
 		return
 	}
 	for _, e := range evicted {
+		// persistMu waits out an AddOwner rewrite that began before the
+		// eviction, so the rewrite cannot land after the delete.
+		e.persistMu.Lock()
 		_ = r.store.Delete(e.ID)
+		e.persistMu.Unlock()
 	}
 }

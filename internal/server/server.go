@@ -41,19 +41,22 @@
 // pool happened to grant — so identical requests are reproducible even on a
 // busy server.
 //
-// With Config.StoreDir set, all durable server state flows through one
-// write-behind statelog layer into internal/store (snapshot container
-// format v2) and warm-starts from disk at boot: fitted models (so a
-// restarted server answers repeat fit requests — and serves synthesize
-// requests byte-identically — without refitting), each model's tenant
-// ownership set (so a restart preserves tenant isolation), finished
-// evaluation-job results (so GET /v1/jobs/{id}/result survives restarts),
-// and the per-tenant records-released privacy ledger. The ledger is what
-// makes the served (ε, δ) accounting honest across restarts: the paper's
-// end-to-end guarantee composes over every record a tenant has *ever*
-// drawn, and with Config.TenantBudgetEps set (or per-tenant key-file
-// budgets) a tenant past its lifetime budget gets 403 before any
-// generation work is admitted.
+// With Config.StoreDir set, durable server state is written to
+// internal/store (snapshot container format v2) and warm-starts from disk
+// at boot: fitted models (so a restarted server answers repeat fit
+// requests — and serves synthesize requests byte-identically — without
+// refitting), each model's tenant ownership set (so a restart preserves
+// tenant isolation), finished evaluation-job results (so
+// GET /v1/jobs/{id}/result survives restarts), and the per-tenant
+// records-released privacy ledger. Each is written where it changes: a
+// model's snapshot when its fit ends and again when its owner set grows
+// (Registry.AddOwner), a job's record when it finishes or leaves the job
+// manager, and the ledger behind the stream by its own flusher, so a crash
+// can drop settled charges not yet written. The ledger is what makes the
+// served (ε, δ) accounting honest across restarts: the paper's end-to-end
+// guarantee composes over every record a tenant has *ever* drawn, and with
+// Config.TenantBudgetEps set (or per-tenant key-file budgets) a tenant past
+// its lifetime budget gets 403 before any generation work is admitted.
 //
 // With Config.Auth set, the server is multi-tenant: every /v1/* request
 // must present a configured API key (401 otherwise), routes are gated by
@@ -73,6 +76,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/jobs"
@@ -135,8 +139,8 @@ type Config struct {
 	TenantBudgetEps   float64
 	TenantBudgetDelta float64
 	// Logger receives the server's structured log lines (startup/warm-start
-	// notices, statelog and store error reports, and — with AccessLog — one
-	// line per request). nil discards everything.
+	// notices, failed job-record and ledger writes, store error reports,
+	// and — with AccessLog — one line per request). nil discards everything.
 	Logger *slog.Logger
 	// AccessLog enables the per-request access-log line on Logger.
 	AccessLog bool
@@ -151,20 +155,23 @@ type Config struct {
 // Server is the sgfd HTTP handler. Create it with New; the zero value is
 // not usable.
 type Server struct {
-	cfg      Config
-	log      *slog.Logger
-	pool     *WorkerPool
-	reg      *Registry
-	metrics  *Metrics
-	store    *store.Store // nil without StoreDir
-	jobs     *jobs.Manager
-	ledger   *ledger
-	statelog *stateLog // nil without StoreDir
-	traces   *obs.TraceBuffer
-	// logLimit rate-limits repeated error lines (statelog flush failures,
-	// store lazy-load errors) per model/job/ledger key, so a flapping disk
-	// reports once per interval instead of flooding the log.
+	cfg     Config
+	log     *slog.Logger
+	pool    *WorkerPool
+	reg     *Registry
+	metrics *Metrics
+	store   *store.Store // nil without StoreDir
+	jobs    *jobs.Manager
+	ledger  *ledger
+	traces  *obs.TraceBuffer
+	// logLimit rate-limits repeated error lines (failed job-record and
+	// ledger writes, store lazy-load errors) per model/job/ledger key, so a
+	// flapping disk reports once per interval instead of flooding the log.
 	logLimit *obs.Limiter
+	// jobMu serializes job-record writes with deletes (see putJob);
+	// jobsClosed, set by Close, stops both.
+	jobMu      sync.Mutex
+	jobsClosed bool
 }
 
 // New returns a ready-to-serve Server. With Config.StoreDir set it opens
@@ -212,16 +219,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.reg.SetLogger(logger, s.logLimit)
 	if st != nil {
-		// All durable state flows through the statelog from here on: model
-		// ownership changes, finished job results, ledger charges.
-		s.statelog = newStateLog(st, s.reg, s.ledger, s.jobRecord, logger, s.logLimit)
+		// Owner sets are written by Registry.AddOwner, job records by these
+		// hooks, and the ledger by its own flusher.
 		s.jobs.SetHooks(jobs.Hooks{
-			OnFinish: func(j *jobs.Job, _ any) { s.statelog.NoteJobFinished(j.ID) },
-			OnEvict:  func(id string) { s.statelog.NoteJobEvicted(id) },
+			OnFinish: func(j *jobs.Job, _ any) { s.putJob(j.ID) },
+			OnEvict:  s.deleteJob,
 		})
 		if led, err := st.GetLedger(); err == nil {
 			s.ledger.restore(led)
 		}
+		s.ledger.persistTo(st, func(err error) {
+			s.logWriteError("privacy ledger write", "ledger", "ledger", err)
+		})
 		jobsRestored := s.restoreJobs()
 		if n := s.reg.WarmStart(); n > 0 || jobsRestored > 0 {
 			logger.Info("warm start",
@@ -236,17 +245,41 @@ func New(cfg Config) (*Server, error) {
 // Metrics exposes the server's counters (used by tests and embedders).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close flushes the durable state: the statelog drains (pending ownership
-// re-snapshots, job records, the privacy ledger) and then the registry
-// flushes — every ready resident model gets a snapshot on disk if it
-// doesn't already have one (a second chance for models whose write-through
-// snapshot failed). Call it after the HTTP server has drained; it is a
-// no-op without a store.
+// Close flushes the durable state: the ledger's flusher stops after
+// writing any settled spend still unwritten, every retained finished job
+// without a record on disk gets one, and every ready resident model
+// without a snapshot gets one (a second chance for writes that failed or
+// files removed behind the server's back). Job records and ledger charges
+// that change after Close are not written. Call it after the HTTP server
+// has drained; it is idempotent and a no-op without a store.
 func (s *Server) Close() error {
-	if s.statelog != nil {
-		s.statelog.Close()
+	if s.store == nil {
+		return nil
 	}
+	s.ledger.close()
+	for _, j := range s.jobs.List() {
+		if _, err := s.store.GetJob(j.ID); err != nil {
+			s.putJob(j.ID)
+		}
+	}
+	s.jobMu.Lock()
+	s.jobsClosed = true
+	s.jobMu.Unlock()
 	return s.reg.Flush()
+}
+
+// logWriteError emits one rate-limited levelled line for a failed write of
+// durable state, keyed per record so a flapping disk reports once per
+// interval per job or ledger with a suppressed count.
+func (s *Server) logWriteError(what, keyName, key string, err error) {
+	allowed, suppressed := s.logLimit.Allow("write:" + keyName + ":" + key)
+	if !allowed {
+		return
+	}
+	s.log.Error(what+" failed",
+		slog.String(keyName, key),
+		slog.String("error", err.Error()),
+		slog.Int64("suppressed", suppressed))
 }
 
 // statusWriter captures the response code and body size for logging and

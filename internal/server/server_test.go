@@ -48,10 +48,10 @@ func testCSV(n int) string {
 }
 
 // newServer builds the handler or fails the test. Closing the server is
-// registered before the caller's ts.Close cleanup (LIFO), so the statelog
+// registered before the caller's ts.Close cleanup (LIFO), so the ledger
 // flusher drains after the HTTP server stops and before t.TempDir removes
-// the store directory — otherwise a background ledger/snapshot write races
-// the directory cleanup.
+// the store directory — otherwise a background ledger write races the
+// directory cleanup.
 func newServer(t testing.TB, cfg server.Config) *server.Server {
 	t.Helper()
 	srv, err := server.New(cfg)

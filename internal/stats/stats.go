@@ -10,6 +10,10 @@ import (
 	"math"
 )
 
+// The float64() conversions around products round them before the add,
+// which the Go spec defines as forbidding a fused multiply-add, so an arm64
+// build computes the same values as an amd64 one.
+
 // Distribution is an empirical probability distribution over a finite
 // domain, stored as non-negative weights that need not be normalized.
 type Distribution struct {
@@ -86,7 +90,7 @@ func (d *Distribution) Entropy() float64 {
 	for _, w := range d.weights {
 		if w > 0 {
 			p := w / d.total
-			h -= p * math.Log2(p)
+			h -= float64(p * math.Log2(p))
 		}
 	}
 	if h < 0 { // guard against −0 and floating-point dust
@@ -147,7 +151,7 @@ func (j *Joint) Entropy() float64 {
 	for _, w := range j.weights {
 		if w > 0 {
 			p := w / j.total
-			h -= p * math.Log2(p)
+			h -= float64(p * math.Log2(p))
 		}
 	}
 	if h < 0 {
@@ -282,14 +286,14 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Mean returns the arithmetic mean of the values (0 for an empty slice).
@@ -312,7 +316,7 @@ func StdDev(values []float64) float64 {
 	m := Mean(values)
 	s := 0.0
 	for _, v := range values {
-		s += (v - m) * (v - m)
+		s += float64((v - m) * (v - m))
 	}
 	return math.Sqrt(s / float64(len(values)))
 }
