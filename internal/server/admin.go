@@ -91,8 +91,9 @@ func (s *Server) storeStatus() *storeStatusJSON {
 
 // handleListModels implements GET /v1/models: resident entries (most
 // recently used first) followed by snapshots not currently loaded. With
-// authentication enabled, non-admin tenants see only their own models, and
-// store-only snapshots — whose ownership is not persisted — only admins.
+// authentication enabled, non-admin tenants see only their own resident
+// models; store-only snapshots, whose owner sets are read only by loading
+// them (which can evict another model), are listed to admins alone.
 func (s *Server) handleListModels(w http.ResponseWriter, _ *http.Request, tn *tenant.Identity) {
 	entries := s.reg.Entries()
 	resp := listResponse{
@@ -166,12 +167,12 @@ func (s *Server) handleExport(w http.ResponseWriter, _ *http.Request, id string,
 			writeError(w, http.StatusConflict, "model %s is %s and cannot be exported (%v)", id, state, ferr)
 			return
 		}
-		fm, err := entry.Wait(nil)
+		_, err := entry.Wait(nil)
 		if err != nil {
 			writeError(w, http.StatusConflict, "model %s not usable: %v", id, err)
 			return
 		}
-		if data, err = s.reg.snapshotFor(entry, fm).Encode(); err != nil {
+		if data, err = s.reg.snapshotFor(entry).Encode(); err != nil {
 			writeError(w, http.StatusInternalServerError, "encoding snapshot: %v", err)
 			return
 		}
@@ -185,9 +186,9 @@ func (s *Server) handleExport(w http.ResponseWriter, _ *http.Request, id string,
 }
 
 // handleImport implements POST /v1/models/import: decode and fully validate
-// an uploaded snapshot (magic, checksum, version, then every model layer),
-// register it as a ready model — owned by the importing tenant — and
-// persist it when a store is configured.
+// an uploaded snapshot (magic, checksum, version, then every model layer)
+// and register it, owned by the importing tenant; Registry.ImportSnapshot
+// decides what an upload for an existing ID may do (409 when refused).
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, tn *tenant.Identity) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	if err != nil {
@@ -204,7 +205,16 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, tn *tenant
 		writeError(w, http.StatusBadRequest, "invalid snapshot: %v", err)
 		return
 	}
-	entry, fresh := s.reg.ImportSnapshot(snap, raw)
+	// Owners named in the upload would hand the model to other tenants.
+	snap.Owners = nil
+	if owner := jobOwner(tn); owner != "" {
+		snap.Owners = []string{owner}
+	}
+	entry, fresh, err := s.reg.ImportSnapshot(snap)
+	if err != nil {
+		writeError(w, http.StatusConflict, "%v", err)
+		return
+	}
 	if entry == nil {
 		writeError(w, http.StatusConflict, "model %s is being deleted; retry", snap.ID)
 		return

@@ -108,13 +108,12 @@ func canSeeModel(tn *tenant.Identity, e *ModelEntry) bool {
 // modelVisible is THE tenant visibility policy for a model ID — every
 // handler that resolves an ID (status, synthesize, export) routes through
 // it, so the authorization decision has exactly one implementation. It
-// consults only the resident set (a side-effect-free probe): a denied
-// request must never reach the registry's loading store fallback, which
-// decodes the snapshot into the LRU and can evict a resident model —
-// deleting that model's snapshot for good. Without that ordering, a
-// non-admin probing store-only IDs it will never be allowed to see could
-// churn the cache and destroy other tenants' persisted models. Store-only
-// snapshots carry no ownership, so only admins (and the no-auth server)
+// consults only the resident set (a side-effect-free probe). A store-only
+// snapshot does carry its owner set, but reading it means loading it: the
+// registry's store fallback decodes the snapshot into the LRU and can evict
+// a resident model, deleting that model's snapshot for good. A non-admin
+// probing IDs it may never see could then churn the cache and destroy
+// other tenants' persisted models, so only admins (and the no-auth server)
 // may proceed to a loading lookup for a non-resident ID.
 func (s *Server) modelVisible(id string, tn *tenant.Identity) bool {
 	if tn == nil {

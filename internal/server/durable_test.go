@@ -1,6 +1,9 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +16,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/tenant"
 )
 
@@ -581,5 +585,73 @@ func TestServerCloseRestoresJobRecords(t *testing.T) {
 	st, result2 := getBody(t, ts2.URL+"/v1/jobs/"+jobID+"/result", keyAlice)
 	if st != http.StatusOK || result2 != result1 {
 		t.Fatalf("result after the restart: status %d\npre:  %s\npost: %s", st, result1, result2)
+	}
+}
+
+// TestUnreadableLedgerStopsBoot: a ledger file that exists but cannot be
+// read or decoded stops New with an error naming the file, and the file is
+// left exactly as it was. Starting from an empty ledger instead would
+// forget every record released before the restart.
+func TestUnreadableLedgerStopsBoot(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, path string)
+	}{
+		{"newer-version", func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[8] = store.Version + 1
+			sum := crc32.Checksum(raw[:len(raw)-4], crc32.MakeTable(crc32.Castagnoli))
+			binary.LittleEndian.PutUint32(raw[len(raw)-4:], sum)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"bit-flip", func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0x08
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutLedger(&store.Ledger{Entries: []store.LedgerEntry{
+				{Tenant: "alice", K: 3, Gamma: 8, Records: 25},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "ledger.v2")
+			tc.spoil(t, path)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			srv, err := server.New(server.Config{StoreDir: dir})
+			if err == nil {
+				srv.Close()
+				t.Fatal("New started over an unreadable ledger")
+			}
+			if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "move") {
+				t.Errorf("error does not name the file and the way out: %v", err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("ledger file changed (read err %v)", err)
+			}
+			if files, _ := filepath.Glob(filepath.Join(dir, "ledger.v2.*")); len(files) != 0 {
+				t.Errorf("ledger moved aside: %v", files)
+			}
+		})
 	}
 }

@@ -83,7 +83,7 @@ func (s *Server) putJob(id string) {
 		return
 	}
 	if err := s.store.PutJob(rec); err != nil {
-		s.logWriteError("job record write", "job", id, err)
+		s.logStoreError("job record write", "job", id, err)
 	}
 }
 
@@ -96,7 +96,7 @@ func (s *Server) deleteJob(id string) {
 		return
 	}
 	if err := s.store.DeleteJob(id); err != nil && !errors.Is(err, store.ErrNotFound) {
-		s.logWriteError("job record delete", "job", id, err)
+		s.logStoreError("job record delete", "job", id, err)
 	}
 }
 

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
@@ -12,7 +12,6 @@ import (
 
 	sgf "repro"
 	"repro/internal/dataset"
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -68,11 +67,10 @@ type ModelEntry struct {
 	// done is closed when fitting finishes, whatever the outcome.
 	done chan struct{}
 
-	// persistMu serializes the entry's snapshot writes with its owner
-	// additions: the fit's write-through holds it across the write and the
-	// switch to ready, Registry.AddOwner across the name and the rewrite,
-	// and Flush and eviction across theirs. Lock order: persistMu before
-	// r.mu and mu, never after.
+	// persistMu serializes the entry's snapshot write (Registry.persist)
+	// with the deletes of eviction and Remove, so a write cannot land after
+	// the entry's snapshot was deleted. Lock order: persistMu before r.mu
+	// and mu, never after.
 	persistMu sync.Mutex
 
 	mu     sync.Mutex
@@ -100,13 +98,8 @@ func (e *ModelEntry) OwnedBy(name string) bool {
 	return ok
 }
 
-// Owners returns the owner set, sorted (the snapshot encoding order).
-func (e *ModelEntry) Owners() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ownersLocked()
-}
-
+// ownersLocked returns the owner set, sorted (the snapshot encoding order).
+// Callers hold e.mu.
 func (e *ModelEntry) ownersLocked() []string {
 	if len(e.owners) == 0 {
 		return nil
@@ -160,17 +153,18 @@ func (e *ModelEntry) Wait(cancel <-chan struct{}) (*sgf.FittedModel, error) {
 // which keeps a burst of uploads from pinning unbounded datasets in memory
 // (unfinished entries are exempt from LRU eviction).
 //
-// With a store attached the registry is write-through: a model is
-// snapshotted to disk the moment its fit succeeds (before it becomes
-// visible, so it can never be evicted un-persisted), LRU eviction deletes
-// the snapshot along with the entry, and cache misses fall back to the
-// store — WarmStart pre-loads the newest snapshots at boot and Get/Lookup
-// lazily load anything the warm start skipped.
+// With a store attached the registry is write-through: persist writes a
+// model's snapshot from its entry the moment its fit succeeds, and again
+// when its owner set grows; LRU eviction deletes the snapshot along with
+// the entry, and cache misses fall back to the store — WarmStart pre-loads
+// the newest snapshots at boot and Get/Lookup lazily load anything the
+// warm start skipped.
 type Registry struct {
 	metrics *Metrics
 	store   *store.Store // nil = no persistence
-	log     *slog.Logger
-	lim     *obs.Limiter // rate-limits per-model error lines
+	// logStoreError reports a failed snapshot load or write; New installs
+	// the server's rate-limited logger.
+	logStoreError func(op, id string, err error)
 
 	fitSem  chan struct{}
 	fitHook func() // test seam, called in the fit goroutine before learning
@@ -210,47 +204,17 @@ func NewRegistry(capacity, maxFits, maxPending int, metrics *Metrics, st *store.
 		metrics = NewMetrics()
 	}
 	return &Registry{
-		metrics:  metrics,
-		store:    st,
-		log:      obs.Discard(),
-		lim:      obs.NewLimiter(0),
-		fitSem:   make(chan struct{}, maxFits),
-		cap:      capacity,
-		maxPend:  maxPending,
-		byID:     make(map[string]*ModelEntry),
-		byKey:    make(map[string]*ModelEntry),
-		lru:      list.New(),
-		removing: make(map[string]int),
+		metrics:       metrics,
+		store:         st,
+		logStoreError: func(string, string, error) {},
+		fitSem:        make(chan struct{}, maxFits),
+		cap:           capacity,
+		maxPend:       maxPending,
+		byID:          make(map[string]*ModelEntry),
+		byKey:         make(map[string]*ModelEntry),
+		lru:           list.New(),
+		removing:      make(map[string]int),
 	}
-}
-
-// Store returns the registry's snapshot store (nil without persistence).
-func (r *Registry) Store() *store.Store { return r.store }
-
-// SetLogger installs the structured logger (and the shared rate limiter)
-// for load/persist error lines. Call it right after NewRegistry, before
-// serving — it is not synchronized against concurrent use.
-func (r *Registry) SetLogger(l *slog.Logger, lim *obs.Limiter) {
-	if l != nil {
-		r.log = l
-	}
-	if lim != nil {
-		r.lim = lim
-	}
-}
-
-// logStoreError emits one rate-limited levelled line for a store failure
-// keyed by operation+model, so a flapping disk reports once per interval
-// per model with a suppressed count instead of flooding the log.
-func (r *Registry) logStoreError(op, id string, err error) {
-	allowed, suppressed := r.lim.Allow(op + ":" + id)
-	if !allowed {
-		return
-	}
-	r.log.Error("model store "+op+" failed",
-		slog.String("model", id),
-		slog.String("error", err.Error()),
-		slog.Int64("suppressed", suppressed))
 }
 
 // Len returns the number of resident models.
@@ -319,9 +283,7 @@ func (r *Registry) Get(id string) (*ModelEntry, bool) {
 
 // loadFromStore revives a persisted model into the registry. Decode
 // failures are handled (and the file quarantined) by the store; here they
-// just read as a miss. A concurrent Remove wins: the load refuses to
-// resurrect an ID with a deletion in flight, and undoes itself if the
-// snapshot vanished between the read and the insert.
+// just read as a miss.
 func (r *Registry) loadFromStore(id string) (*ModelEntry, bool) {
 	if r.store == nil || !store.ValidID(id) {
 		return nil, false
@@ -336,15 +298,22 @@ func (r *Registry) loadFromStore(id string) (*ModelEntry, bool) {
 		}
 		return nil, false
 	}
+	return r.revive(snap)
+}
+
+// revive registers a snapshot read from the store. A concurrent Remove
+// wins: the insert is refused while a deletion is in flight, and undone if
+// the snapshot vanished between the read and the insert.
+func (r *Registry) revive(snap *store.Snapshot) (*ModelEntry, bool) {
 	e, fresh := r.insertSnapshot(snap)
 	if e == nil {
 		return nil, false // Remove in flight
 	}
-	if fresh && !r.store.Has(id) {
+	if fresh && !r.store.Has(snap.ID) {
 		// The snapshot was deleted while we were decoding it: a Remove ran
 		// to completion in between. Honour the deletion.
 		r.mu.Lock()
-		if r.byID[id] == e {
+		if r.byID[snap.ID] == e {
 			r.lru.Remove(e.elem)
 			delete(r.byID, e.ID)
 			delete(r.byKey, e.Key)
@@ -410,38 +379,52 @@ func (r *Registry) insertSnapshot(snap *store.Snapshot) (e *ModelEntry, fresh bo
 	return e, true
 }
 
-// ImportSnapshot registers an externally supplied snapshot and persists it
-// when a store is configured. raw must be the encoded bytes snap was
-// decoded from (persisted as-is, skipping a re-encode); pass nil to encode
-// from the snapshot instead. The boolean reports whether the model was new;
-// a nil entry means a concurrent Remove refused the registration.
-//
-// The snapshot is persisted before the entry becomes visible — the same
-// order the write-through fit path uses — so an entry can never be evicted
-// (deleting its snapshot) before the snapshot exists, and a refused insert
-// cleans up its own write rather than leaving an unregistered ghost on
-// disk.
-func (r *Registry) ImportSnapshot(snap *store.Snapshot, raw []byte) (*ModelEntry, bool) {
+// ImportSnapshot registers an externally supplied snapshot under the
+// owners it names. An ID that already exists, on disk or only resident,
+// keeps its model: the import succeeds, not fresh, only when snap carries
+// the same cache key and fitted model, and otherwise fails having loaded,
+// evicted and written nothing. A new ID is inserted and persisted. A nil
+// entry with a nil error means a concurrent Remove refused the insert.
+func (r *Registry) ImportSnapshot(snap *store.Snapshot) (*ModelEntry, bool, error) {
+	conflict := fmt.Errorf("server: model %s already exists and the upload does not match it", snap.ID)
 	if r.store != nil {
-		// Failures are recorded in the store's stats and surfaced on
-		// /healthz; the model still serves from memory.
-		if raw != nil {
-			_ = r.store.PutVerified(snap.ID, raw)
-		} else {
-			_ = r.store.Put(snap)
+		switch disk, err := r.store.Get(snap.ID); {
+		case err == nil && sameModel(disk, snap):
+			e, _ := r.revive(disk)
+			return e, false, nil
+		case err == nil:
+			return nil, false, conflict
+		case !errors.Is(err, store.ErrNotFound):
+			return nil, false, fmt.Errorf("server: model %s exists but cannot be read: %w", snap.ID, err)
 		}
 	}
 	e, fresh := r.insertSnapshot(snap)
-	if e == nil && r.store != nil {
-		_ = r.store.Delete(snap.ID) // refused by a concurrent Remove
+	if fresh {
+		_ = r.persist(e) // persist logs a failure; the model still serves
 	}
-	return e, fresh
+	if e == nil || fresh {
+		return e, fresh, nil
+	}
+	if cur := r.snapshotFor(e); cur == nil || !sameModel(cur, snap) {
+		return nil, false, conflict
+	}
+	return e, false, nil
+}
+
+// sameModel reports whether two snapshots carry the same cache key and
+// fitted models that encode to the same bytes.
+func sameModel(a, b *store.Snapshot) bool {
+	if a.Key != b.Key {
+		return false
+	}
+	var ab, bb bytes.Buffer
+	return a.Model.Encode(&ab) == nil && b.Model.Encode(&bb) == nil && bytes.Equal(ab.Bytes(), bb.Bytes())
 }
 
 // WarmStart loads persisted snapshots into the registry, newest first, up
-// to the cache capacity, and returns how many it loaded. Corrupt snapshots
-// are quarantined by the store and skipped; snapshots beyond the capacity
-// stay on disk and are loaded lazily on first use.
+// to the cache capacity, and returns how many it loaded. Snapshots that
+// fail to load are handled as on a lazy load, and skipped; snapshots beyond
+// the capacity stay on disk and are loaded lazily on first use.
 func (r *Registry) WarmStart() int {
 	if r.store == nil {
 		return 0
@@ -453,11 +436,7 @@ func (r *Registry) WarmStart() int {
 	loaded := 0
 	// Insert oldest-first so the newest snapshot ends up at the LRU front.
 	for i := len(ids) - 1; i >= 0; i-- {
-		snap, err := r.store.Get(ids[i])
-		if err != nil {
-			continue
-		}
-		if _, fresh := r.insertSnapshot(snap); fresh {
+		if _, ok := r.loadFromStore(ids[i]); ok {
 			loaded++
 		}
 	}
@@ -484,6 +463,11 @@ func (r *Registry) Remove(id string) error {
 	}
 	r.removing[id]++
 	r.mu.Unlock()
+	if resident {
+		// A persist already past its residency check writes before the delete.
+		e.persistMu.Lock()
+		defer e.persistMu.Unlock()
+	}
 
 	var diskErr error = store.ErrNotFound
 	if r.store != nil {
@@ -538,57 +522,77 @@ func (r *Registry) Entries() []*ModelEntry {
 // (disk full) or was byte-evicted, giving them one more chance to survive
 // the restart. It returns the first error encountered.
 func (r *Registry) Flush() error {
-	if r.store == nil {
-		return nil
-	}
 	var firstErr error
 	for _, e := range r.Entries() {
-		e.persistMu.Lock()
-		e.mu.Lock()
-		ready, fm := e.state == StateReady, e.fitted
-		e.mu.Unlock()
-		if ready && !r.store.Has(e.ID) {
-			if err := r.store.Put(r.snapshotFor(e, fm)); err != nil && firstErr == nil {
+		if r.store != nil && !r.store.Has(e.ID) {
+			if err := r.persist(e); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
-		e.persistMu.Unlock()
 	}
 	return firstErr
 }
 
-// snapshotFor assembles the persistent form of a ready entry, owner set
-// included.
-func (r *Registry) snapshotFor(e *ModelEntry, fm *sgf.FittedModel) *store.Snapshot {
+// persist writes the entry's snapshot, the one way a model snapshot
+// reaches disk: only once its fit has succeeded and while it is resident,
+// under persistMu, so no write lands after eviction or Remove deleted the
+// snapshot. A failure is logged, counted in the store's stats (/healthz)
+// and returned; the model still serves from memory.
+func (r *Registry) persist(e *ModelEntry) error {
+	if r.store == nil {
+		return nil
+	}
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
+	snap := r.snapshotFor(e)
+	if snap == nil {
+		return nil
+	}
+	if cur, ok := r.Resident(e.ID); !ok || cur != e {
+		return nil // evicted or removed: its snapshot went with it
+	}
+	err := r.store.Put(snap)
+	if err != nil {
+		r.logStoreError("persist", e.ID, err)
+	}
+	return err
+}
+
+// snapshotFor assembles the persistent form of an entry, owner set
+// included: nil until its fit has succeeded.
+func (r *Registry) snapshotFor(e *ModelEntry) *store.Snapshot {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.fitted == nil {
+		return nil
+	}
 	return &store.Snapshot{
 		ID:          e.ID,
 		Key:         e.Key,
 		Created:     e.Created,
 		Rows:        e.Rows,
 		Clean:       e.Clean,
-		FitDuration: e.FitDuration(),
+		FitDuration: e.fitDur,
 		ModelEps:    e.Opts.ModelEps,
 		ModelDelta:  e.Opts.ModelDelta,
 		MaxCost:     e.Opts.MaxCost,
 		Seed:        e.Opts.Seed,
-		Owners:      e.Owners(),
-		Model:       fm,
+		Owners:      e.ownersLocked(),
+		Model:       e.fitted,
 	}
 }
 
 // AddOwner records a tenant as an owner of the model. Empty names
-// (authentication disabled) are ignored. When the set grows and the entry
-// is ready, still resident and backed by a store, the snapshot is rewritten
-// before AddOwner returns, so the owner survives a restart. An owner added
-// while the model fits needs no write of its own: the fit holds persistMu
-// across its write-through and the switch to ready, so the owner is either
-// in that write or finds the entry ready.
+// (authentication disabled) are ignored. When the set grows, persist
+// rewrites the snapshot before AddOwner returns, so the owner survives a
+// restart. An owner added while the model fits needs no write of its own:
+// persist skips an entry without a fitted model, and the fit's own
+// persist, which follows the fitted model's arrival, reads the owner set
+// then.
 func (r *Registry) AddOwner(e *ModelEntry, name string) {
 	if name == "" {
 		return
 	}
-	e.persistMu.Lock()
-	defer e.persistMu.Unlock()
 	e.mu.Lock()
 	_, known := e.owners[name]
 	if !known {
@@ -597,18 +601,9 @@ func (r *Registry) AddOwner(e *ModelEntry, name string) {
 		}
 		e.owners[name] = struct{}{}
 	}
-	ready, fm := e.state == StateReady, e.fitted
 	e.mu.Unlock()
-	if known || !ready || r.store == nil {
-		return
-	}
-	if cur, ok := r.Resident(e.ID); !ok || cur != e {
-		return // evicted or removed: its snapshot went with it
-	}
-	if err := r.store.Put(r.snapshotFor(e, fm)); err != nil {
-		// The failure also lands in the store's stats (visible on /healthz);
-		// the log line names the model so an operator can act on it.
-		r.logStoreError("persist", e.ID, err)
+	if !known {
+		_ = r.persist(e) // persist logs a failure; the owner holds in memory
 	}
 }
 
@@ -661,29 +656,20 @@ func (r *Registry) fit(e *ModelEntry, data *dataset.Dataset, opts sgf.FitOptions
 	}
 	start := time.Now()
 	fm, err := sgf.Fit(data, opts)
-	dur := time.Since(start)
-
-	// Write-through: persist before the model becomes visible. The entry is
-	// still StateFitting here, so it cannot be LRU-evicted (which would
-	// delete the snapshot) until the snapshot exists. A write failure is
-	// recorded in the store's stats and surfaced on /healthz; the model
-	// still serves from memory. persistMu spans the write and the switch to
-	// ready, so every owner AddOwner records is in this write or in its own.
-	e.persistMu.Lock()
 	e.mu.Lock()
-	e.fitDur = dur // snapshotFor reads it under the entry lock
+	e.fitDur, e.fitted = time.Since(start), fm
 	e.mu.Unlock()
-	if err == nil && r.store != nil {
-		_ = r.store.Put(r.snapshotFor(e, fm))
-	}
+	// Write-through before the model becomes visible: the entry is still
+	// fitting, so neither eviction nor Remove can delete its snapshot before
+	// the snapshot exists.
+	_ = r.persist(e) // persist logs a failure; the model still serves
 	e.mu.Lock()
 	if err != nil {
 		e.state, e.err = StateFailed, err
 	} else {
-		e.state, e.fitted = StateReady, fm
+		e.state = StateReady
 	}
 	e.mu.Unlock()
-	e.persistMu.Unlock()
 	close(e.done)
 
 	r.mu.Lock()
@@ -734,8 +720,8 @@ func (r *Registry) dropSnapshots(evicted []*ModelEntry) {
 		return
 	}
 	for _, e := range evicted {
-		// persistMu waits out an AddOwner rewrite that began before the
-		// eviction, so the rewrite cannot land after the delete.
+		// persistMu waits out a persist that began before the eviction, so
+		// its write cannot land after the delete.
 		e.persistMu.Lock()
 		_ = r.store.Delete(e.ID)
 		e.persistMu.Unlock()

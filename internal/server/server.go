@@ -72,6 +72,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -92,12 +93,6 @@ type Config struct {
 	PoolSize int
 	// CacheCap is the maximum number of resident models (0 = 8).
 	CacheCap int
-	// MaxConcurrentFits bounds how many model fits run at once
-	// (0 = half of GOMAXPROCS, at least 1).
-	MaxConcurrentFits int
-	// MaxPendingFits bounds how many unfinished models may be queued or
-	// fitting before new uploads are rejected with 429 (0 = 32).
-	MaxPendingFits int
 	// MaxUploadBytes caps a fit request body (0 = 32 MiB).
 	MaxUploadBytes int64
 	// StoreDir enables model persistence: fitted models are snapshotted
@@ -176,9 +171,10 @@ type Server struct {
 
 // New returns a ready-to-serve Server. With Config.StoreDir set it opens
 // the snapshot store and warm-starts the registry from it, so previously
-// fitted models are servable immediately; a store that cannot be opened is
-// an error (serving without the operator's requested durability would
-// silently refit everything).
+// fitted models are servable immediately. A store that cannot be opened is
+// an error, and so is a privacy ledger there that cannot be read: serving
+// without them would silently refit every model, or forget every record
+// released before and admit tenants past their lifetime budgets.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 32 << 20
@@ -209,7 +205,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		log:      logger,
 		pool:     NewWorkerPool(cfg.PoolSize),
-		reg:      NewRegistry(cfg.CacheCap, cfg.MaxConcurrentFits, cfg.MaxPendingFits, metrics, st),
+		reg:      NewRegistry(cfg.CacheCap, 0, 0, metrics, st),
 		metrics:  metrics,
 		store:    st,
 		jobs:     jobs.NewManager(cfg.EvalMaxRunning, cfg.EvalMaxPending, cfg.EvalRetain),
@@ -217,7 +213,9 @@ func New(cfg Config) (*Server, error) {
 		traces:   obs.NewTraceBuffer(cfg.TraceBufferSize),
 		logLimit: obs.NewLimiter(0),
 	}
-	s.reg.SetLogger(logger, s.logLimit)
+	s.reg.logStoreError = func(op, id string, err error) {
+		s.logStoreError("model store "+op, "model", id, err)
+	}
 	if st != nil {
 		// Owner sets are written by Registry.AddOwner, job records by these
 		// hooks, and the ledger by its own flusher.
@@ -225,11 +223,14 @@ func New(cfg Config) (*Server, error) {
 			OnFinish: func(j *jobs.Job, _ any) { s.putJob(j.ID) },
 			OnEvict:  s.deleteJob,
 		})
-		if led, err := st.GetLedger(); err == nil {
+		switch led, err := st.GetLedger(); {
+		case err == nil:
 			s.ledger.restore(led)
+		case !errors.Is(err, store.ErrNotFound): // an absent ledger is an empty one
+			return nil, fmt.Errorf("server: %w; move the file aside to start with an empty privacy ledger", err)
 		}
 		s.ledger.persistTo(st, func(err error) {
-			s.logWriteError("privacy ledger write", "ledger", "ledger", err)
+			s.logStoreError("privacy ledger write", "ledger", "ledger", err)
 		})
 		jobsRestored := s.restoreJobs()
 		if n := s.reg.WarmStart(); n > 0 || jobsRestored > 0 {
@@ -268,11 +269,12 @@ func (s *Server) Close() error {
 	return s.reg.Flush()
 }
 
-// logWriteError emits one rate-limited levelled line for a failed write of
-// durable state, keyed per record so a flapping disk reports once per
-// interval per job or ledger with a suppressed count.
-func (s *Server) logWriteError(what, keyName, key string, err error) {
-	allowed, suppressed := s.logLimit.Allow("write:" + keyName + ":" + key)
+// logStoreError emits one rate-limited levelled line for a failed load or
+// write of durable state, keyed per operation and record, so a flapping
+// disk reports once per interval per model, job or ledger with a
+// suppressed count.
+func (s *Server) logStoreError(what, keyName, key string, err error) {
+	allowed, suppressed := s.logLimit.Allow(what + ":" + key)
 	if !allowed {
 		return
 	}

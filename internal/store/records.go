@@ -39,6 +39,8 @@ type JobRecord struct {
 	Result []byte
 }
 
+func (j *JobRecord) recordID() string { return j.ID }
+
 // Encode renders the record in the version-2 container format.
 func (j *JobRecord) Encode() ([]byte, error) {
 	if !ValidJobID(j.ID) {

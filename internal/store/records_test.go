@@ -244,8 +244,8 @@ func TestStoreLedgerLifecycle(t *testing.T) {
 		t.Fatalf("ledger file counted as a model snapshot: %+v", st)
 	}
 
-	// A corrupt ledger is quarantined and reads as a decode error; the
-	// caller starts fresh, the operator keeps the bytes.
+	// A corrupt ledger reads as a decode error and stays in place: the
+	// caller must refuse to start rather than start from an empty ledger.
 	raw, _ := os.ReadFile(filepath.Join(dir, "ledger.v2"))
 	raw[len(raw)/2] ^= 0x08
 	if err := os.WriteFile(filepath.Join(dir, "ledger.v2"), raw, 0o644); err != nil {
@@ -254,8 +254,11 @@ func TestStoreLedgerLifecycle(t *testing.T) {
 	if _, err := s2.GetLedger(); !errors.Is(err, store.ErrBadChecksum) {
 		t.Fatalf("corrupt GetLedger: %v, want ErrBadChecksum", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "ledger.v2.corrupt")); err != nil {
-		t.Errorf("ledger quarantine file missing: %v", err)
+	if onDisk, err := os.ReadFile(filepath.Join(dir, "ledger.v2")); err != nil || !bytes.Equal(onDisk, raw) {
+		t.Errorf("corrupt ledger moved or changed: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ledger.v2.corrupt")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("corrupt ledger was quarantined: %v", err)
 	}
 }
 

@@ -160,6 +160,8 @@ type Snapshot struct {
 	Model *sgf.FittedModel
 }
 
+func (s *Snapshot) recordID() string { return s.ID }
+
 // Encode renders the snapshot in the version-2 container format. Encoding
 // is deterministic — the same snapshot always produces the same bytes
 // (Owners is sorted and deduplicated on the way out).

@@ -16,14 +16,6 @@ import (
 // ErrNotFound is returned by Get/ReadRaw/Delete for an unknown snapshot.
 var ErrNotFound = errors.New("store: no such snapshot")
 
-// snapExt is the model-snapshot filename extension; a snapshot for model id
-// X lives at <dir>/X.snap.
-const snapExt = ".snap"
-
-// jobExt is the finished-job-record filename extension; a record for job id
-// J lives at <dir>/J.job.
-const jobExt = ".job"
-
 // ledgerName is the per-tenant privacy ledger, one file per store
 // directory. Its name fails ValidID, so the model scan never confuses it
 // with a snapshot.
@@ -33,10 +25,29 @@ const ledgerName = "ledger.v2"
 // not deleted, so an operator can inspect it.
 const quarantineExt = ".corrupt"
 
-// fileInfo is the store's in-memory index entry for one snapshot file.
+// fileInfo is the store's in-memory index entry for one record file.
 type fileInfo struct {
 	size  int64
 	mtime time.Time
+}
+
+// records is one kind of ID-keyed record — model snapshots or job
+// records: record X lives at <dir>/X<ext>. The index is guarded by
+// Store.mu.
+type records struct {
+	noun  string // names the kind in errors
+	ext   string
+	valid func(id string) bool
+	index map[string]fileInfo
+}
+
+// footprint returns how many records of the kind are on disk and their
+// total size. Callers hold Store.mu.
+func (k *records) footprint() (n int, bytes int64) {
+	for _, fi := range k.index {
+		bytes += fi.size
+	}
+	return len(k.index), bytes
 }
 
 // Stats is a point-in-time summary of the store, surfaced by /healthz and
@@ -49,8 +60,9 @@ type Stats struct {
 	JobRecords int
 	JobBytes   int64
 	// Saves/Loads/Deletes count successful operations since process start;
-	// the *Errors counters their failures. Quarantined counts records
-	// moved aside because they failed decoding.
+	// the *Errors counters their failures. Quarantined counts snapshots and
+	// job records moved aside because they failed decoding; a ledger that
+	// cannot be read or decoded is never moved, only counted in LoadErrors.
 	Saves       int64
 	SaveErrors  int64
 	Loads       int64
@@ -72,17 +84,18 @@ type Stats struct {
 	LastLedgerError string
 }
 
-// Store is a directory of model snapshots, one file per model ID. All
-// methods are safe for concurrent use. Writes are crash-safe: a snapshot is
-// streamed to a temporary file, fsynced, then renamed into place, so a crash
-// leaves either the old snapshot or the new one, never a torn file.
+// Store is a directory of durable records: model snapshots, job records
+// and the privacy ledger. All methods are safe for concurrent use. Writes
+// are crash-safe: a record is streamed to a temporary file, fsynced, then
+// renamed into place, so a crash leaves either the old record or the new
+// one, never a torn file.
 type Store struct {
 	dir      string
 	maxBytes int64
 
 	mu    sync.Mutex
-	files map[string]fileInfo // model id → on-disk snapshot
-	jobs  map[string]fileInfo // job id → on-disk job record
+	snaps records // model id → on-disk snapshot
+	jobs  records // job id → on-disk job record
 	stats Stats
 }
 
@@ -91,8 +104,9 @@ type Store struct {
 // directory over the cap, the oldest snapshots are evicted until it fits
 // (the snapshot just written is never the one evicted).
 //
-// Open only indexes the directory; snapshots are decoded on Get, where a
-// corrupt file is quarantined (renamed *.corrupt) rather than served.
+// Open only indexes the directory; records are decoded on Get and GetJob,
+// where a corrupt file is quarantined (renamed *.corrupt) rather than
+// served.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -100,8 +114,8 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		maxBytes: maxBytes,
-		files:    make(map[string]fileInfo),
-		jobs:     make(map[string]fileInfo),
+		snaps:    records{noun: "snapshot", ext: ".snap", valid: ValidID, index: make(map[string]fileInfo)},
+		jobs:     records{noun: "job record", ext: ".job", valid: ValidJobID, index: make(map[string]fileInfo)},
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -120,19 +134,15 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		if id, ok := strings.CutSuffix(name, snapExt); ok && ValidID(id) {
-			if info, err := e.Info(); err == nil {
-				s.files[id] = fileInfo{size: info.Size(), mtime: info.ModTime()}
+		// Foreign files, the ledger and quarantined records match no kind
+		// and are left alone.
+		for _, k := range []*records{&s.snaps, &s.jobs} {
+			if id, ok := strings.CutSuffix(name, k.ext); ok && k.valid(id) {
+				if info, err := e.Info(); err == nil {
+					k.index[id] = fileInfo{size: info.Size(), mtime: info.ModTime()}
+				}
 			}
-			continue
 		}
-		if id, ok := strings.CutSuffix(name, jobExt); ok && ValidJobID(id) {
-			if info, err := e.Info(); err == nil {
-				s.jobs[id] = fileInfo{size: info.Size(), mtime: info.ModTime()}
-			}
-			continue
-		}
-		// Foreign files, the ledger and quarantined records are left alone.
 	}
 	return s, nil
 }
@@ -140,46 +150,146 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) path(id string) string { return filepath.Join(s.dir, id+snapExt) }
-
-func (s *Store) jobPath(id string) string { return filepath.Join(s.dir, id+jobExt) }
+func (s *Store) path(k *records, id string) string { return filepath.Join(s.dir, id+k.ext) }
 
 func (s *Store) ledgerPath() string { return filepath.Join(s.dir, ledgerName) }
 
-// Put atomically persists a snapshot, replacing any previous snapshot for
-// the same ID, then enforces the byte budget.
-func (s *Store) Put(snap *Snapshot) error {
-	data, err := snap.Encode()
+// put encodes record id of kind k and writes it atomically, replacing any
+// previous record with that ID, then indexes it and counts the save.
+func (s *Store) put(k *records, id string, encode func() ([]byte, error)) error {
+	if !k.valid(id) {
+		return s.saveFailed(fmt.Errorf("store: invalid %s id %q", k.noun, id))
+	}
+	data, err := encode()
 	if err != nil {
 		return s.saveFailed(err)
 	}
-	return s.putBytes(snap.ID, data)
-}
-
-// PutVerified persists already-encoded snapshot bytes without re-encoding
-// them. The caller must have obtained id by successfully decoding data with
-// Decode (the import path does: it validates the upload, then persists the
-// exact bytes it validated).
-func (s *Store) PutVerified(id string, data []byte) error {
-	return s.putBytes(id, data)
-}
-
-func (s *Store) putBytes(id string, data []byte) error {
-	if !ValidID(id) {
-		return s.saveFailed(fmt.Errorf("store: invalid snapshot id %q", id))
-	}
-	if err := s.writeAtomic(s.path(id), data); err != nil {
-		return s.saveFailed(fmt.Errorf("store: writing snapshot %s: %w", id, err))
+	if err := s.writeAtomic(s.path(k, id), data); err != nil {
+		return s.saveFailed(fmt.Errorf("store: writing %s %s: %w", k.noun, id, err))
 	}
 	s.mu.Lock()
-	s.files[id] = fileInfo{size: int64(len(data)), mtime: time.Now()}
+	k.index[id] = fileInfo{size: int64(len(data)), mtime: time.Now()}
 	s.stats.Saves++
-	evict := s.overBudgetLocked(id)
 	s.mu.Unlock()
-	for _, old := range evict {
-		s.Delete(old)
-	}
 	return nil
+}
+
+// read returns the bytes of record id of kind k. An index entry whose file
+// is gone is dropped and reads as ErrNotFound.
+func (s *Store) read(k *records, id string) ([]byte, error) {
+	if !k.valid(id) {
+		return nil, ErrNotFound
+	}
+	s.mu.Lock()
+	_, ok := k.index[id]
+	s.mu.Unlock()
+	if !ok {
+		return nil, ErrNotFound
+	}
+	raw, err := s.readFile(s.path(k, id), k.noun+" "+id)
+	if errors.Is(err, ErrNotFound) {
+		s.mu.Lock()
+		delete(k.index, id) // index was stale
+		s.mu.Unlock()
+	}
+	return raw, err
+}
+
+// readFile reads one file of the store. A missing file is ErrNotFound; any
+// other failure counts as a load error.
+func (s *Store) readFile(path, what string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, ErrNotFound
+	}
+	if err != nil {
+		s.loadFailed(err)
+		return nil, fmt.Errorf("store: reading %s: %w", what, err)
+	}
+	return raw, nil
+}
+
+// load reads record id of kind k and decodes it under the store's one
+// decode-failure rule. A container from another format version
+// (ErrBadVersion) is intact, just written by a different binary (rollback
+// or roll-forward), so it stays in place for the binary that understands
+// it and counts as a load error. Any other decode failure, or a record
+// naming another ID, is quarantined: renamed *.corrupt, dropped from the
+// index and counted as a load error, so one bad file cannot wedge
+// warm-start or be served again.
+func load[T interface{ recordID() string }](s *Store, k *records, id string, decode func([]byte) (T, error)) (T, error) {
+	var none T
+	raw, err := s.read(k, id)
+	if err != nil {
+		return none, err
+	}
+	rec, err := decode(raw)
+	if err == nil && rec.recordID() != id {
+		err = fmt.Errorf("store: %s file %s contains %s", k.noun, id, rec.recordID())
+	}
+	switch {
+	case err == nil:
+		s.mu.Lock()
+		s.stats.Loads++
+		s.mu.Unlock()
+		return rec, nil
+	case errors.Is(err, ErrBadVersion):
+		s.loadFailed(err)
+	default:
+		_ = os.Rename(s.path(k, id), s.path(k, id)+quarantineExt)
+		s.mu.Lock()
+		delete(k.index, id)
+		s.stats.Quarantined++
+		s.stats.LoadErrors++
+		s.stats.LastLoadError = err.Error()
+		s.mu.Unlock()
+	}
+	return none, err
+}
+
+// remove deletes record id of kind k. Removing a record that is neither
+// indexed nor on disk returns ErrNotFound.
+func (s *Store) remove(k *records, id string) error {
+	if !k.valid(id) {
+		return ErrNotFound
+	}
+	s.mu.Lock()
+	_, ok := k.index[id]
+	delete(k.index, id)
+	s.mu.Unlock()
+	err := os.Remove(s.path(k, id))
+	if errors.Is(err, fs.ErrNotExist) {
+		err = nil
+		if !ok {
+			return ErrNotFound
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("store: deleting %s %s: %w", k.noun, id, err)
+	}
+	s.mu.Lock()
+	s.stats.Deletes++
+	s.mu.Unlock()
+	return nil
+}
+
+// list returns the IDs of kind k ordered by file mtime, oldest first
+// (newest first with newestFirst), ties by ID.
+func (s *Store) list(k *records, newestFirst bool) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]string, 0, len(k.index))
+	for id := range k.index {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		ta, tb := k.index[ids[a]].mtime, k.index[ids[b]].mtime
+		if !ta.Equal(tb) {
+			return ta.Before(tb) != newestFirst
+		}
+		return ids[a] < ids[b]
+	})
+	return ids
 }
 
 // writeAtomic writes data to path via a temp file in the same directory,
@@ -204,16 +314,28 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
+// Put atomically persists a snapshot, replacing any previous snapshot for
+// the same ID, then enforces the byte budget.
+func (s *Store) Put(snap *Snapshot) error {
+	if err := s.put(&s.snaps, snap.ID, snap.Encode); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	evict := s.overBudgetLocked(snap.ID)
+	s.mu.Unlock()
+	for _, old := range evict {
+		s.Delete(old)
+	}
+	return nil
+}
+
 // overBudgetLocked returns the oldest snapshot IDs (by mtime) that must go
 // to bring the directory back under maxBytes, never including keep.
 func (s *Store) overBudgetLocked(keep string) []string {
 	if s.maxBytes <= 0 {
 		return nil
 	}
-	total := int64(0)
-	for _, fi := range s.files {
-		total += fi.size
-	}
+	_, total := s.snaps.footprint()
 	if total <= s.maxBytes {
 		return nil
 	}
@@ -222,7 +344,7 @@ func (s *Store) overBudgetLocked(keep string) []string {
 		fileInfo
 	}
 	var candidates []aged
-	for id, fi := range s.files {
+	for id, fi := range s.snaps.index {
 		if id != keep {
 			candidates = append(candidates, aged{id, fi})
 		}
@@ -244,71 +366,62 @@ func (s *Store) overBudgetLocked(keep string) []string {
 	return evict
 }
 
-// Get reads and decodes a snapshot. A snapshot that fails to decode is
-// quarantined: renamed *.corrupt, dropped from the index, and counted as a
-// load error, so one bad file cannot wedge warm-start or be served again.
-// A version mismatch is the exception — the file is intact, just written by
-// a different binary (rollback/roll-forward), so it is left in place for
-// the binary that understands it.
+// Get reads and decodes a snapshot; a file that fails to decode is handled
+// by the rule load documents.
 func (s *Store) Get(id string) (*Snapshot, error) {
-	raw, err := s.ReadRaw(id)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := Decode(raw)
-	if errors.Is(err, ErrBadVersion) {
-		s.loadFailed(err)
-		return nil, err
-	}
-	if err != nil {
-		s.quarantine(id, err)
-		return nil, err
-	}
-	if snap.ID != id {
-		err := fmt.Errorf("store: snapshot file %s contains model %s", id, snap.ID)
-		s.quarantine(id, err)
-		return nil, err
-	}
-	s.mu.Lock()
-	s.stats.Loads++
-	s.mu.Unlock()
-	return snap, nil
+	return load(s, &s.snaps, id, Decode)
 }
 
 // ReadRaw returns a snapshot's encoded bytes (the export path).
 func (s *Store) ReadRaw(id string) ([]byte, error) {
-	if !ValidID(id) {
-		return nil, ErrNotFound
-	}
-	s.mu.Lock()
-	_, ok := s.files[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	raw, err := os.ReadFile(s.path(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		s.mu.Lock()
-		delete(s.files, id) // index was stale
-		s.mu.Unlock()
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		s.loadFailed(err)
-		return nil, fmt.Errorf("store: reading snapshot %s: %w", id, err)
-	}
-	return raw, nil
+	return s.read(&s.snaps, id)
 }
 
-// quarantine moves a snapshot that failed decoding aside.
-func (s *Store) quarantine(id string, cause error) {
-	_ = os.Rename(s.path(id), s.path(id)+quarantineExt)
+// Delete removes a snapshot from disk. Deleting an unknown ID returns
+// ErrNotFound.
+func (s *Store) Delete(id string) error {
+	return s.remove(&s.snaps, id)
+}
+
+// Has reports whether a snapshot for the ID is on disk. It consults the
+// filesystem, not just the index, so snapshots removed behind the store's
+// back (operator cleanup, byte eviction on another mount) read as absent —
+// Flush relies on this to re-persist them. Only a definite not-exist drops
+// the index entry; a transient stat failure (EMFILE, EACCES) falls back to
+// the index rather than forgetting an intact snapshot.
+func (s *Store) Has(id string) bool {
+	if !ValidID(id) {
+		return false
+	}
+	info, err := os.Stat(s.path(&s.snaps, id))
 	s.mu.Lock()
-	delete(s.files, id)
-	s.stats.Quarantined++
-	s.stats.LoadErrors++
-	s.stats.LastLoadError = cause.Error()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if errors.Is(err, fs.ErrNotExist) {
+		delete(s.snaps.index, id)
+		return false
+	}
+	if err != nil {
+		_, ok := s.snaps.index[id]
+		return ok
+	}
+	if _, ok := s.snaps.index[id]; !ok {
+		s.snaps.index[id] = fileInfo{size: info.Size(), mtime: info.ModTime()}
+	}
+	return true
+}
+
+// IDs returns the snapshot IDs on disk, newest first (by file mtime, ties by
+// ID) — the order warm-start should load them in so the most recently fitted
+// models win the cache.
+func (s *Store) IDs() []string {
+	return s.list(&s.snaps, true)
+}
+
+// Size returns the encoded size in bytes of one snapshot (0 if absent).
+func (s *Store) Size(id string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snaps.index[id].size
 }
 
 // PutJob atomically persists a finished-job record, replacing any previous
@@ -317,88 +430,19 @@ func (s *Store) quarantine(id string, cause error) {
 // evicting a model to make room for a job result (or vice versa) would
 // couple two unrelated retention policies.
 func (s *Store) PutJob(rec *JobRecord) error {
-	data, err := rec.Encode()
-	if err != nil {
-		return s.saveFailed(err)
-	}
-	if err := s.writeAtomic(s.jobPath(rec.ID), data); err != nil {
-		return s.saveFailed(fmt.Errorf("store: writing job record %s: %w", rec.ID, err))
-	}
-	s.mu.Lock()
-	s.jobs[rec.ID] = fileInfo{size: int64(len(data)), mtime: time.Now()}
-	s.stats.Saves++
-	s.mu.Unlock()
-	return nil
+	return s.put(&s.jobs, rec.ID, rec.Encode)
 }
 
-// GetJob reads and decodes a persisted job record. A record that fails to
-// decode is quarantined (renamed *.corrupt) and counted as a load error, so
-// one bad file cannot wedge the job warm-start.
+// GetJob reads and decodes a persisted job record; a file that fails to
+// decode is handled by the rule load documents.
 func (s *Store) GetJob(id string) (*JobRecord, error) {
-	if !ValidJobID(id) {
-		return nil, ErrNotFound
-	}
-	s.mu.Lock()
-	_, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	raw, err := os.ReadFile(s.jobPath(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		s.loadFailed(err)
-		return nil, fmt.Errorf("store: reading job record %s: %w", id, err)
-	}
-	rec, err := DecodeJobRecord(raw)
-	if err == nil && rec.ID != id {
-		err = fmt.Errorf("store: job file %s contains job %s", id, rec.ID)
-	}
-	if err != nil {
-		_ = os.Rename(s.jobPath(id), s.jobPath(id)+quarantineExt)
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.stats.Quarantined++
-		s.stats.LoadErrors++
-		s.stats.LastLoadError = err.Error()
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.mu.Lock()
-	s.stats.Loads++
-	s.mu.Unlock()
-	return rec, nil
+	return load(s, &s.jobs, id, DecodeJobRecord)
 }
 
 // DeleteJob removes a persisted job record (the retention-eviction and
 // DELETE /v1/jobs paths). Deleting an unknown ID returns ErrNotFound.
 func (s *Store) DeleteJob(id string) error {
-	if !ValidJobID(id) {
-		return ErrNotFound
-	}
-	s.mu.Lock()
-	_, ok := s.jobs[id]
-	delete(s.jobs, id)
-	s.mu.Unlock()
-	err := os.Remove(s.jobPath(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		err = nil
-		if !ok {
-			return ErrNotFound
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("store: deleting job record %s: %w", id, err)
-	}
-	s.mu.Lock()
-	s.stats.Deletes++
-	s.mu.Unlock()
-	return nil
+	return s.remove(&s.jobs, id)
 }
 
 // JobIDs returns the persisted job IDs, oldest first (by file mtime, ties
@@ -406,20 +450,7 @@ func (s *Store) DeleteJob(id string) error {
 // manager's finish-order retention evicts the oldest results first when
 // more records survive on disk than the retention bound admits.
 func (s *Store) JobIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ta, tb := s.jobs[ids[a]].mtime, s.jobs[ids[b]].mtime
-		if !ta.Equal(tb) {
-			return ta.Before(tb)
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
+	return s.list(&s.jobs, false)
 }
 
 // PutLedger atomically persists the privacy ledger. Failures are tracked
@@ -444,112 +475,25 @@ func (s *Store) PutLedger(l *Ledger) error {
 
 // GetLedger reads the persisted privacy ledger. A store directory without
 // one returns ErrNotFound (a fresh deployment, or pre-v2 state). A ledger
-// that fails to decode is quarantined and the error recorded — the caller
-// starts from an empty ledger, which over-admits nothing it can help, and
-// the operator keeps the bytes.
+// that cannot be read or decoded returns an error naming the file, counts
+// as a load error and stays where it is — never quarantined: starting from
+// an empty ledger instead would forget every record released before, so
+// the caller must not start until an operator has dealt with the file.
 func (s *Store) GetLedger() (*Ledger, error) {
-	raw, err := os.ReadFile(s.ledgerPath())
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrNotFound
-	}
+	path := s.ledgerPath()
+	raw, err := s.readFile(path, "ledger "+path)
 	if err != nil {
-		s.loadFailed(err)
-		return nil, fmt.Errorf("store: reading ledger: %w", err)
+		return nil, err
 	}
 	l, err := DecodeLedger(raw)
 	if err != nil {
-		_ = os.Rename(s.ledgerPath(), s.ledgerPath()+quarantineExt)
-		s.mu.Lock()
-		s.stats.Quarantined++
-		s.stats.LoadErrors++
-		s.stats.LastLoadError = err.Error()
-		s.mu.Unlock()
-		return nil, err
+		s.loadFailed(err)
+		return nil, fmt.Errorf("store: decoding ledger %s: %w", path, err)
 	}
 	s.mu.Lock()
 	s.stats.Loads++
 	s.mu.Unlock()
 	return l, nil
-}
-
-// Delete removes a snapshot from disk. Deleting an unknown ID returns
-// ErrNotFound.
-func (s *Store) Delete(id string) error {
-	if !ValidID(id) {
-		return ErrNotFound
-	}
-	s.mu.Lock()
-	_, ok := s.files[id]
-	delete(s.files, id)
-	s.mu.Unlock()
-	err := os.Remove(s.path(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		err = nil
-		if !ok {
-			return ErrNotFound
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("store: deleting snapshot %s: %w", id, err)
-	}
-	s.mu.Lock()
-	s.stats.Deletes++
-	s.mu.Unlock()
-	return nil
-}
-
-// Has reports whether a snapshot for the ID is on disk. It consults the
-// filesystem, not just the index, so snapshots removed behind the store's
-// back (operator cleanup, byte eviction on another mount) read as absent —
-// Flush relies on this to re-persist them. Only a definite not-exist drops
-// the index entry; a transient stat failure (EMFILE, EACCES) falls back to
-// the index rather than forgetting an intact snapshot.
-func (s *Store) Has(id string) bool {
-	if !ValidID(id) {
-		return false
-	}
-	info, err := os.Stat(s.path(id))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if errors.Is(err, fs.ErrNotExist) {
-		delete(s.files, id)
-		return false
-	}
-	if err != nil {
-		_, ok := s.files[id]
-		return ok
-	}
-	if _, ok := s.files[id]; !ok {
-		s.files[id] = fileInfo{size: info.Size(), mtime: info.ModTime()}
-	}
-	return true
-}
-
-// IDs returns the snapshot IDs on disk, newest first (by file mtime, ties by
-// ID) — the order warm-start should load them in so the most recently fitted
-// models win the cache.
-func (s *Store) IDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.files))
-	for id := range s.files {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ta, tb := s.files[ids[a]].mtime, s.files[ids[b]].mtime
-		if !ta.Equal(tb) {
-			return ta.After(tb)
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
-}
-
-// Size returns the encoded size in bytes of one snapshot (0 if absent).
-func (s *Store) Size(id string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.files[id].size
 }
 
 // Stats returns a consistent snapshot of the store's counters and current
@@ -558,16 +502,8 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := s.stats
-	out.Count = len(s.files)
-	out.Bytes = 0
-	for _, fi := range s.files {
-		out.Bytes += fi.size
-	}
-	out.JobRecords = len(s.jobs)
-	out.JobBytes = 0
-	for _, fi := range s.jobs {
-		out.JobBytes += fi.size
-	}
+	out.Count, out.Bytes = s.snaps.footprint()
+	out.JobRecords, out.JobBytes = s.jobs.footprint()
 	return out
 }
 

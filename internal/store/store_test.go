@@ -299,6 +299,80 @@ func TestStoreQuarantinesCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestDecodeFailureRule pins one rule for every ID-keyed record kind: a
+// container from another format version stays in place and counts as a
+// load error (the binary that wrote it can still read it), while a
+// bit-flipped container is renamed *.corrupt.
+func TestDecodeFailureRule(t *testing.T) {
+	snap := testSnapshot(t, 41)
+	job := testJobRecord("j-00000000000000c1")
+	kinds := []struct {
+		name, id, ext string
+		encode        func() ([]byte, error)
+		get           func(*store.Store) error
+	}{
+		{"snapshot", snap.ID, ".snap", snap.Encode, func(s *store.Store) error {
+			_, err := s.Get(snap.ID)
+			return err
+		}},
+		{"job", job.ID, ".job", job.Encode, func(s *store.Store) error {
+			_, err := s.GetJob(job.ID)
+			return err
+		}},
+	}
+	cases := []struct {
+		name        string
+		mutate      func(raw []byte)
+		want        error
+		quarantined bool
+	}{
+		{"newer-version", func(raw []byte) {
+			raw[8] = store.Version + 1
+			sum := crc32.Checksum(raw[:len(raw)-4], crc32.MakeTable(crc32.Castagnoli))
+			binary.LittleEndian.PutUint32(raw[len(raw)-4:], sum)
+		}, store.ErrBadVersion, false},
+		{"bit-flip", func(raw []byte) { raw[len(raw)/2] ^= 0x04 }, store.ErrBadChecksum, true},
+	}
+	for _, k := range kinds {
+		for _, tc := range cases {
+			t.Run(k.name+"/"+tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				raw, err := k.encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.mutate(raw)
+				path := filepath.Join(dir, k.id+k.ext)
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				s, err := store.Open(dir, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := k.get(s); !errors.Is(err, tc.want) {
+					t.Fatalf("get: %v, want %v", err, tc.want)
+				}
+				onDisk, err := os.ReadFile(path)
+				_, qerr := os.Stat(path + ".corrupt")
+				st := s.Stats()
+				if st.LoadErrors != 1 || st.LastLoadError == "" {
+					t.Errorf("stats = %+v, want one load error", st)
+				}
+				if tc.quarantined {
+					if err == nil || qerr != nil || st.Quarantined != 1 {
+						t.Errorf("not quarantined: file err %v, .corrupt err %v, stats %+v", err, qerr, st)
+					}
+					return
+				}
+				if err != nil || !bytes.Equal(onDisk, raw) || qerr == nil || st.Quarantined != 0 {
+					t.Errorf("moved or changed: file err %v, .corrupt err %v, stats %+v", err, qerr, st)
+				}
+			})
+		}
+	}
+}
+
 func TestStoreMaxBytesEvictsOldest(t *testing.T) {
 	dir := t.TempDir()
 	a, b := testSnapshot(t, 5), testSnapshot(t, 6)
