@@ -1,10 +1,10 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (§6): Figures 1–6 and Tables 2–5, printed as text tables and
 // optionally written to a report file. It drives eval.RunSuite — the same
-// code path the sgfd /v1/eval endpoint executes — so the CLI report and the
-// served JSON can never drift. Workload size is configurable; the defaults
-// run in a few minutes on a laptop, -quick in well under one. SIGINT stops
-// the run at the next section boundary.
+// code path the eval step of the scenario runner executes — so the CLI
+// report and the scenario goldens can never drift. Workload size is
+// configurable; the defaults run in a few minutes on a laptop, -quick in
+// well under one. SIGINT stops the run at the next section boundary.
 //
 // Usage:
 //

@@ -23,8 +23,8 @@ import (
 //
 // run executes every package (or the named subset) against a live sgfd —
 // an external one when -addr is given, an in-process spawn otherwise —
-// and diffs streams and eval results against the checked-in goldens;
-// -update regenerates them. bench times each package's benchmark
+// runs each eval step in this process, and diffs streams and eval results
+// against the checked-in goldens; -update regenerates them. bench times each package's benchmark
 // definition and emits the cmd/benchjson artifact shape, so
 // `benchjson compare` gates scenario benchmarks exactly like
 // microbenchmarks.

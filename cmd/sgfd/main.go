@@ -32,10 +32,6 @@ func main() {
 		maxBody     = flag.Int64("max-upload", 32<<20, "maximum fit request body in bytes")
 		storeDir    = flag.String("store-dir", "", "directory for model snapshots; fitted models persist here and warm-start on boot (empty = no persistence)")
 		storeMax    = flag.Int64("store-max-bytes", 0, "cap on total snapshot bytes in store-dir, oldest evicted first (0 = unlimited)")
-		evalRunning = flag.Int("eval-running", 1, "maximum evaluation jobs executing at once")
-		evalPending = flag.Int("eval-pending", 8, "maximum unfinished evaluation jobs before /v1/eval returns 429")
-		evalRetain  = flag.Int("eval-retain", 16, "finished evaluation jobs kept for result polling (oldest evicted)")
-		evalMaxN    = flag.Int("eval-max-n", 200_000, "largest simulated-record count one evaluation job may request")
 		keysFile    = flag.String("keys-file", "", "tenant key file (JSON): enables API-key authentication, roles and per-tenant rate limits on /v1/*; SIGHUP reloads it (empty = no authentication)")
 		budgetEps   = flag.Float64("tenant-budget-eps", 0, "default lifetime privacy budget ε per tenant: synthesize requests that would push a tenant's composed (ε, δ) past it get 403 (0 = no enforcement; the records-released ledger still counts, and persists in -store-dir)")
 		budgetDelta = flag.Float64("tenant-budget-delta", 1e-6, "default lifetime privacy budget δ per tenant (used with -tenant-budget-eps)")
@@ -104,10 +100,6 @@ func main() {
 		MaxUploadBytes:    *maxBody,
 		StoreDir:          *storeDir,
 		StoreMaxBytes:     *storeMax,
-		EvalMaxRunning:    *evalRunning,
-		EvalMaxPending:    *evalPending,
-		EvalRetain:        *evalRetain,
-		EvalMaxN:          *evalMaxN,
 		Auth:              auth,
 		TenantBudgetEps:   *budgetEps,
 		TenantBudgetDelta: *budgetDelta,

@@ -50,7 +50,7 @@ func checkCtx(ctx context.Context) error {
 }
 
 // OmegaSpec names one ω setting of §6: fixed (Lo == Hi) or uniform random
-// in [Lo, Hi]. The JSON form is the wire shape of the /v1/eval endpoint.
+// in [Lo, Hi]. The JSON form is the one a SuiteConfig's "omegas" list takes.
 type OmegaSpec struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`

@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the single entry point for a full §6 evaluation run: one
-// config, one result, one renderer. cmd/experiments and the sgfd /v1/eval
-// endpoint both call RunSuite, so the CLI report and the served JSON can
-// never drift apart.
+// config, one result, one renderer. cmd/experiments and the scenario
+// runner's eval step both call RunSuite, so the CLI report and the
+// scenario goldens can never drift apart.
 
 // SuiteSections lists the report sections RunSuite knows, in execution
 // order. "pipeline" (build the §3 pipeline) always runs and may be named
@@ -22,8 +22,8 @@ var SuiteSections = []string{
 	"table3", "table4", "table5", "attack", "sigma", "maxcost", "parammode",
 }
 
-// SuiteConfig parameterizes one evaluation-suite run. The JSON form is the
-// request body of POST /v1/eval; zero values select the §6.1 defaults at
+// SuiteConfig parameterizes one evaluation-suite run. The JSON form is a
+// scenario manifest's eval.config; zero values select the §6.1 defaults at
 // the given scale (see DefaultSuiteConfig).
 type SuiteConfig struct {
 	// N is the number of simulated clean records (paper: ~1.5M).
@@ -102,9 +102,9 @@ func DefaultSuiteConfig(n int, seed uint64) SuiteConfig {
 }
 
 // WithDefaults fills every zero-valued per-section workload knob from
-// DefaultSuiteConfig, so a sparse config (a minimal /v1/eval request body)
+// DefaultSuiteConfig, so a sparse config (a minimal scenario eval.config)
 // runs the exact full-report workloads cmd/experiments runs. RunSuite
-// applies it, which is what makes CLI and server results comparable knob
+// applies it, which is what makes CLI and scenario results comparable knob
 // for knob.
 func (c SuiteConfig) WithDefaults() SuiteConfig {
 	def := DefaultSuiteConfig(c.N, c.Seed)

@@ -9,7 +9,7 @@ import (
 )
 
 // smallSuiteConfig is the fast end-to-end suite workload shared by the
-// suite tests (and mirrored by the server's /v1/eval integration test).
+// suite tests.
 func smallSuiteConfig() SuiteConfig {
 	cfg := DefaultSuiteConfig(12000, 3)
 	cfg.K = 10
@@ -62,7 +62,7 @@ func TestRunSuiteSelectedSections(t *testing.T) {
 		}
 	}
 	// The result round-trips through JSON without loss of the figure/table
-	// numbers (the contract the /v1/jobs/{id}/result endpoint relies on).
+	// numbers (the contract the scenario eval goldens rely on).
 	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +76,10 @@ func TestRunSuiteSelectedSections(t *testing.T) {
 	}
 }
 
-// TestRunSuiteSparseConfigGetsDefaults pins the /v1/eval contract: a
-// request carrying only scale, seed and a section list runs with the
+// TestRunSuiteSparseConfigGetsDefaults pins the sparse-config contract: a
+// config carrying only scale, seed and a section list runs with the
 // full-report workload knobs (clamped to the scale), instead of zero-sized
-// sections failing deep inside the job.
+// sections failing deep inside the run.
 func TestRunSuiteSparseConfigGetsDefaults(t *testing.T) {
 	cfg := smallSuiteConfig()
 	cfg.Sections = []string{"table5"}
@@ -113,9 +113,9 @@ func TestRunSuiteHonoursCancellation(t *testing.T) {
 	}
 }
 
-// TestRunSuiteWorkerCountIndependent pins the serving-layer contract: the
+// TestRunSuiteWorkerCountIndependent pins the worker-count contract: the
 // same config produces identical (non-timing) results whatever the worker
-// grant, so the shared pool can size jobs to the current load.
+// count, so a scenario golden holds on any machine.
 func TestRunSuiteWorkerCountIndependent(t *testing.T) {
 	cfg := smallSuiteConfig()
 	cfg.Sections = []string{"fig6"}

@@ -66,8 +66,7 @@ func DiffLines(got, want string) string {
 // golden comparison: every object key ending in "_ms" is removed
 // recursively (elapsed_ms, model_learn_ms, synth_ms, fig5's per-count
 // wall-clocks — timings are machine-dependent), and so are "Workers" /
-// "workers" keys (the server sizes an eval job's parallelism to the pool
-// grant it wins and echoes that into the result's config; the suite
+// "workers" keys (the result's config echoes the worker count; the suite
 // contract is that worker counts affect wall-clock only, never numbers).
 // Everything else in a suite result is seed-determined. The document is
 // then re-marshaled with sorted keys and stable indentation. Both the

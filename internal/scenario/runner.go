@@ -11,12 +11,15 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/eval"
 )
 
-// Runner executes scenario packages against a live sgfd over HTTP. It
-// diffs synthesize streams and evaluation results against the scenario's
-// checked-in goldens; with Update set it regenerates the goldens from the
-// live responses instead.
+// Runner executes scenario packages: the fit and synthesize steps against
+// a live sgfd over HTTP, the eval step in its own process (sgfd does not
+// serve the §6 evaluation). It diffs synthesize streams and evaluation
+// results against the scenario's checked-in goldens; with Update set it
+// regenerates the goldens from the live results instead.
 //
 // Scenarios without a `server` section run against BaseURL when set, or
 // against one shared in-process server spawned on first use. A scenario
@@ -146,7 +149,7 @@ func (r *Runner) Run(ctx context.Context, m *Manifest) (*Result, error) {
 		res.Steps = append(res.Steps, step)
 	}
 	if m.Eval != nil {
-		step, err := r.runEval(ctx, base, m)
+		step, err := r.runEval(ctx, m)
 		if err != nil {
 			return nil, err
 		}
@@ -314,67 +317,20 @@ func (r *Runner) runSynth(ctx context.Context, base string, m *Manifest, modelID
 		fmt.Sprintf("%d lines match golden", len(splitLines(string(raw)))))
 }
 
-// runEval launches the scenario's evaluation job, waits for it, and diffs
-// the normalized result against the golden.
-func (r *Runner) runEval(ctx context.Context, base string, m *Manifest) (StepResult, error) {
-	status, raw, err := r.do(ctx, http.MethodPost, base+"/v1/eval", json.RawMessage(m.Eval.Config))
+// runEval runs the scenario's evaluation suite in this process — the same
+// eval.RunSuite cmd/experiments runs — and diffs the normalized result
+// against the golden. It does not depend on the server the other steps
+// talk to.
+func (r *Runner) runEval(ctx context.Context, m *Manifest) (StepResult, error) {
+	res, err := eval.RunSuite(ctx, m.Eval.Config, nil)
 	if err != nil {
-		return StepResult{}, fmt.Errorf("scenario %s: eval: %w", m.Name, err)
+		return StepResult{Name: "eval", Detail: "suite failed: " + err.Error()}, nil
 	}
-	if status != http.StatusAccepted {
-		return StepResult{Name: "eval", Detail: fmt.Sprintf("launch: status %d: %s", status, truncate(errorBody(raw)))}, nil
-	}
-	var acc struct {
-		Job struct {
-			ID string `json:"id"`
-		} `json:"job"`
-	}
-	if err := json.Unmarshal(raw, &acc); err != nil {
-		return StepResult{}, fmt.Errorf("scenario %s: eval: decoding launch response: %w", m.Name, err)
-	}
-
-	for {
-		var info struct {
-			State string `json:"state"`
-			Error string `json:"error"`
-		}
-		status, raw, err := r.do(ctx, http.MethodGet, base+"/v1/jobs/"+acc.Job.ID, nil)
-		if err != nil {
-			return StepResult{}, fmt.Errorf("scenario %s: eval status: %w", m.Name, err)
-		}
-		if status != http.StatusOK {
-			return StepResult{}, fmt.Errorf("scenario %s: eval status: %d: %s", m.Name, status, errorBody(raw))
-		}
-		if err := json.Unmarshal(raw, &info); err != nil {
-			return StepResult{}, fmt.Errorf("scenario %s: eval status: %w", m.Name, err)
-		}
-		if info.State == "failed" {
-			return StepResult{Name: "eval", Detail: "job failed: " + info.Error}, nil
-		}
-		if info.State == "done" {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return StepResult{}, fmt.Errorf("scenario %s: eval did not finish: %w", m.Name, ctx.Err())
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-
-	status, raw, err = r.do(ctx, http.MethodGet, base+"/v1/jobs/"+acc.Job.ID+"/result", nil)
+	raw, err := json.Marshal(res)
 	if err != nil {
 		return StepResult{}, fmt.Errorf("scenario %s: eval result: %w", m.Name, err)
 	}
-	if status != http.StatusOK {
-		return StepResult{}, fmt.Errorf("scenario %s: eval result: %d: %s", m.Name, status, errorBody(raw))
-	}
-	var rr struct {
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal(raw, &rr); err != nil {
-		return StepResult{}, fmt.Errorf("scenario %s: eval result: %w", m.Name, err)
-	}
-	normalized, err := NormalizeResultJSON(rr.Result)
+	normalized, err := NormalizeResultJSON(raw)
 	if err != nil {
 		return StepResult{}, fmt.Errorf("scenario %s: eval result: %w", m.Name, err)
 	}
@@ -411,19 +367,13 @@ func (r *Runner) checkGolden(m *Manifest, step, golden string, got []byte, okDet
 }
 
 // do performs one JSON request and returns the status and raw body. body
-// may be nil, a json.RawMessage, or any marshalable value.
+// may be nil or any marshalable value.
 func (r *Runner) do(ctx context.Context, method, url string, body any) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
-		var raw []byte
-		switch b := body.(type) {
-		case json.RawMessage:
-			raw = b
-		default:
-			var err error
-			if raw, err = json.Marshal(body); err != nil {
-				return 0, nil, err
-			}
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return 0, nil, err
 		}
 		rd = bytes.NewReader(raw)
 	}

@@ -162,25 +162,29 @@ func TestRunnerExpectedDenial(t *testing.T) {
 	}
 }
 
-// TestRunnerSeedScenario runs one checked-in seed package end to end
-// against a spawned server, in check mode: the committed goldens must
-// reproduce byte for byte.
+// TestRunnerSeedScenario runs checked-in seed packages end to end in check
+// mode: the committed goldens must reproduce byte for byte. survey-upload
+// covers the fit and synthesize steps against a spawned server,
+// eval-utility the eval step the runner runs in its own process.
 func TestRunnerSeedScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full seed-scenario run in -short mode")
 	}
-	dir := filepath.Join("..", "..", "scenarios", "survey-upload")
-	m, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := &Runner{}
 	defer r.Close()
-	res, err := r.Run(context.Background(), m)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.OK() {
-		t.Fatalf("seed scenario failed: %+v", res.Steps)
+	for _, name := range []string{"survey-upload", "eval-utility"} {
+		t.Run(name, func(t *testing.T) {
+			m, err := Load(filepath.Join("..", "..", "scenarios", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run(context.Background(), m)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !res.OK() {
+				t.Fatalf("seed scenario failed: %+v", res.Steps)
+			}
+		})
 	}
 }

@@ -5,14 +5,15 @@
 // A scenario package is a directory under scenarios/ holding one
 // manifest.json (what to fit, what to synthesize, what to evaluate, what
 // to benchmark) plus checked-in golden expected outputs. The Runner
-// executes every package against a live sgfd over HTTP — spawning an
-// in-process one when no external address is given — and diffs the
+// executes every package's fit and synthesize steps against a live sgfd
+// over HTTP — spawning an in-process one when no external address is
+// given — runs its §6 evaluation in its own process, and diffs the
 // streamed NDJSON and evaluation results against the goldens. Adding a
 // workload to the regression net is adding a directory; see
 // docs/SCENARIOS.md for the authoring HOWTO.
 //
 // The package splits into four pieces: the manifest loader/validator
-// (this file), the golden differ (diff.go), the HTTP runner (runner.go,
+// (this file), the golden differ (diff.go), the runner (runner.go,
 // spawn.go) and the per-scenario benchmark harness (bench.go) whose JSON
 // output feeds the existing cmd/benchjson compare/ratio machinery.
 package scenario
@@ -28,6 +29,7 @@ import (
 	"strings"
 
 	sgf "repro"
+	"repro/internal/eval"
 )
 
 // nameRE constrains scenario and step names: they appear in file paths,
@@ -53,7 +55,7 @@ type Manifest struct {
 	Server *ServerSpec `json:"server,omitempty"`
 	// Synthesize lists the synthesize steps, run in order.
 	Synthesize []SynthStep `json:"synthesize,omitempty"`
-	// Eval, when set, runs a §6 evaluation job and diffs its (normalized)
+	// Eval, when set, runs a §6 evaluation suite and diffs its (normalized)
 	// result against a golden.
 	Eval *EvalSpec `json:"eval,omitempty"`
 	// Bench, when set, defines the scenario's benchmark for `scenarios bench`.
@@ -137,13 +139,15 @@ type SynthStep struct {
 	ExpectErrorContains string `json:"expect_error_contains,omitempty"`
 }
 
-// EvalSpec runs one POST /v1/eval job and diffs its result against a
-// golden after stripping timing fields (every key ending in "_ms" —
-// timings are the only non-seed-determined numbers in a suite result).
+// EvalSpec runs one §6 evaluation suite (eval.RunSuite, in the runner's
+// process) and diffs its result against a golden after stripping timing
+// fields (every key ending in "_ms" — timings are the only
+// non-seed-determined numbers in a suite result).
 type EvalSpec struct {
-	// Config is the POST /v1/eval request body (eval.SuiteConfig), kept raw
-	// so the manifest is byte-for-byte the request the server validates.
-	Config json.RawMessage `json:"config"`
+	// Config is the suite configuration. The manifest's strict decoder
+	// covers it, so a misspelled knob fails Load instead of running the
+	// suite at a default.
+	Config eval.SuiteConfig `json:"config"`
 	// Golden is the expected normalized result JSON, relative to the
 	// scenario directory.
 	Golden string `json:"golden"`
@@ -263,11 +267,8 @@ func (m *Manifest) Validate() error {
 		seen[st.Name] = true
 	}
 	if m.Eval != nil {
-		if len(m.Eval.Config) == 0 {
-			return fmt.Errorf("eval: config is required")
-		}
-		if !json.Valid(m.Eval.Config) {
-			return fmt.Errorf("eval: config is not valid JSON")
+		if err := m.Eval.Config.Validate(); err != nil {
+			return fmt.Errorf("eval: config: %w", err)
 		}
 		if err := validGoldenPath(m.Eval.Golden); err != nil {
 			return fmt.Errorf("eval: %w", err)

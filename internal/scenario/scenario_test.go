@@ -84,6 +84,10 @@ func TestLoadValidationErrors(t *testing.T) {
 			"negative tenant_budget_eps"},
 		{"bad", `{"name": "bad", "fit": {"dataset": "acs"}, "eval": {"config": {"n": 200}}}`,
 			"golden path is required"},
+		{"bad", `{"name": "bad", "fit": {"dataset": "acs"}, "eval": {"config": {"n": 200, "modle_eps": 1}, "golden": "g"}}`,
+			`unknown field "modle_eps"`},
+		{"bad", `{"name": "bad", "fit": {"dataset": "acs"}, "eval": {"config": {"n": 200, "sections": ["table9"]}, "golden": "g"}}`,
+			`unknown section "table9"`},
 	}
 	for _, tc := range cases {
 		dir := writeScenario(t, t.TempDir(), tc.name, tc.manifest)

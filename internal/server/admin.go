@@ -53,7 +53,6 @@ type storeStatusJSON struct {
 	FormatVersion   int    `json:"format_version"`
 	Snapshots       int    `json:"snapshots"`
 	Bytes           int64  `json:"bytes"`
-	JobRecords      int    `json:"job_records"`
 	Loads           int64  `json:"loads"`
 	LoadErrors      int64  `json:"load_errors"`
 	Saves           int64  `json:"saves"`
@@ -76,7 +75,6 @@ func (s *Server) storeStatus() *storeStatusJSON {
 		FormatVersion:   store.Version,
 		Snapshots:       st.Count,
 		Bytes:           st.Bytes,
-		JobRecords:      st.JobRecords,
 		Loads:           st.Loads,
 		LoadErrors:      st.LoadErrors,
 		Saves:           st.Saves,
@@ -207,7 +205,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, tn *tenant
 	}
 	// Owners named in the upload would hand the model to other tenants.
 	snap.Owners = nil
-	if owner := jobOwner(tn); owner != "" {
+	if owner := ownerOf(tn); owner != "" {
 		snap.Owners = []string{owner}
 	}
 	entry, fresh, err := s.reg.ImportSnapshot(snap)
@@ -219,18 +217,19 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, tn *tenant
 		writeError(w, http.StatusConflict, "model %s is being deleted; retry", snap.ID)
 		return
 	}
-	s.reg.AddOwner(entry, jobOwner(tn))
+	s.reg.AddOwner(entry, ownerOf(tn))
 	status := http.StatusCreated
 	if !fresh {
 		status = http.StatusOK
 	}
 	state, _ := entry.State()
 	writeJSON(w, status, fitResponse{
-		ID:     entry.ID,
-		State:  state,
-		Cached: !fresh,
-		Rows:   entry.Rows,
-		Clean:  entry.Clean,
+		ID:      entry.ID,
+		State:   state,
+		Cached:  !fresh,
+		Backend: entry.Opts.Backend,
+		Rows:    entry.Rows,
+		Clean:   entry.Clean,
 	})
 }
 

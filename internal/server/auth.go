@@ -84,16 +84,6 @@ func requireRole(w http.ResponseWriter, tn *tenant.Identity, required tenant.Rol
 	return false
 }
 
-// canSeeJob reports whether the tenant may observe a job with the given
-// owner. Admins see every job; other tenants only their own. A nil tenant
-// (authentication disabled) sees everything.
-func canSeeJob(tn *tenant.Identity, owner string) bool {
-	if tn == nil || tn.Role() == tenant.RoleAdmin {
-		return true
-	}
-	return owner == tn.Name
-}
-
 // canSeeModel reports whether the tenant may observe a model entry. Admins
 // see every model; other tenants only models they registered themselves
 // (models are content-addressed, so "registered" means "supplied the same
@@ -135,9 +125,9 @@ func (s *Server) getModelFor(id string, tn *tenant.Identity) (*ModelEntry, bool)
 	return s.reg.Get(id)
 }
 
-// jobOwner names the owner this tenant's jobs, models and ledger account
-// are recorded under ("" with authentication off).
-func jobOwner(tn *tenant.Identity) string {
+// ownerOf names the owner this tenant's models and ledger account are
+// recorded under ("" with authentication off).
+func ownerOf(tn *tenant.Identity) string {
 	if tn == nil {
 		return ""
 	}
@@ -176,41 +166,4 @@ func (s *Server) acquireWorkers(ctx context.Context, tn *tenant.Identity, want i
 		release()
 		giveBack(granted)
 	}, nil
-}
-
-// quotaWait bounds how long a background job may wait on its own tenant's
-// worker quota (see acquireWorkersBlocking).
-const quotaWait = time.Minute
-
-// acquireWorkersBlocking is acquireWorkers for background jobs: instead of
-// failing fast on an exhausted worker quota it waits — honouring ctx — for
-// quota to free up, polling since reservations have no wait queue.
-//
-// The wait is bounded by quotaWait, and deliberately so: the job holds one
-// of the shared eval run slots while it waits, and the resource it waits
-// for — the tenant's *own* worker quota — frees only when that same tenant
-// releases it. Unbounded waiting would let one tenant park a job in a run
-// slot indefinitely (pin the quota with a long synthesize stream, launch a
-// job) and starve every other tenant's jobs; failing the job instead frees
-// the slot and names the culprit in the job's error. Waiting on the shared
-// pool, by contrast, stays unbounded — those tokens free whenever anyone
-// finishes.
-func (s *Server) acquireWorkersBlocking(ctx context.Context, tn *tenant.Identity, want int) (int, func(), error) {
-	deadline := time.Now().Add(quotaWait)
-	for {
-		granted, release, err := s.acquireWorkers(ctx, tn, want)
-		if !errors.Is(err, errWorkerQuota) {
-			return granted, release, err
-		}
-		if time.Now().After(deadline) {
-			return 0, nil, fmt.Errorf(
-				"tenant %s's worker quota (%d) stayed fully in use for %s; failing the job to free its run slot — finish or cancel the tenant's other streams and relaunch",
-				tn.Name, tn.MaxWorkers(), quotaWait)
-		}
-		select {
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
-		case <-time.After(250 * time.Millisecond):
-		}
-	}
 }

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eval"
-	"repro/internal/jobs"
 	"repro/internal/server"
 	"repro/internal/tenant"
 )
@@ -153,23 +151,28 @@ func TestAuthMatrix(t *testing.T) {
 	if got := status(t, do(t, http.MethodPost, ts.URL+"/v1/models", keyCarol, map[string]any{"dataset": "acs", "rows": 300})); got != http.StatusForbidden {
 		t.Errorf("reader POST /v1/models = %d, want 403", got)
 	}
-	if got := status(t, do(t, http.MethodPost, ts.URL+"/v1/eval", keyCarol, map[string]any{"n": 12000})); got != http.StatusForbidden {
-		t.Errorf("reader POST /v1/eval = %d, want 403", got)
-	}
 	if got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/models/m-0123456789abcdef", keyCarol, nil)); got != http.StatusForbidden {
 		t.Errorf("reader DELETE model = %d, want 403", got)
 	}
-	// Reader hitting the writer-gated job DELETE: 403. A writer passes the
-	// role gate but an unknown (or another tenant's) job reads as 404.
-	if got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/jobs/j-0123456789abcdef", keyCarol, nil)); got != http.StatusForbidden {
-		t.Errorf("reader DELETE job = %d, want 403", got)
-	}
-	if got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/jobs/j-0123456789abcdef", keyAlice, nil)); got != http.StatusNotFound {
-		t.Errorf("writer DELETE unknown job = %d, want 404", got)
+	// The evaluation and job routes are gone: every role gets the plain
+	// no-route 404.
+	for _, tc := range []struct{ method, path, key string }{
+		{http.MethodPost, "/v1/eval", keyCarol},
+		{http.MethodPost, "/v1/eval", keyAlice},
+		{http.MethodGet, "/v1/jobs", keyCarol},
+		{http.MethodDelete, "/v1/jobs/j-0123456789abcdef", keyCarol},
+		{http.MethodDelete, "/v1/jobs/j-0123456789abcdef", keyRoot},
+	} {
+		resp := do(t, tc.method, ts.URL+tc.path, tc.key, map[string]any{"n": 12000})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "no route for "+tc.path) {
+			t.Errorf("%s %s = %d %s, want 404 no route", tc.method, tc.path, resp.StatusCode, body)
+		}
 	}
 	// Reader on a reader route: fine.
-	if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/jobs", keyCarol, nil)); got != http.StatusOK {
-		t.Errorf("reader GET /v1/jobs = %d, want 200", got)
+	if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/models", keyCarol, nil)); got != http.StatusOK {
+		t.Errorf("reader GET /v1/models = %d, want 200", got)
 	}
 
 	// Open endpoints need no key.
@@ -188,7 +191,7 @@ func TestAuthRateLimit(t *testing.T) {
 	var last *http.Response
 	throttledAt := -1
 	for i := 0; i < 3; i++ {
-		last = do(t, http.MethodGet, ts.URL+"/v1/jobs", keyTurtle, nil)
+		last = do(t, http.MethodGet, ts.URL+"/v1/models", keyTurtle, nil)
 		if last.StatusCode == http.StatusTooManyRequests {
 			throttledAt = i
 			break
@@ -206,7 +209,7 @@ func TestAuthRateLimit(t *testing.T) {
 	status(t, last)
 
 	// Other tenants are unaffected.
-	if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/jobs", keyCarol, nil)); got != http.StatusOK {
+	if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/models", keyCarol, nil)); got != http.StatusOK {
 		t.Errorf("unthrottled tenant = %d, want 200", got)
 	}
 
@@ -327,144 +330,6 @@ func TestAuthModelScoping(t *testing.T) {
 	}
 	if got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/models/"+id, keyRoot, nil)); got != http.StatusNoContent {
 		t.Errorf("admin DELETE model = %d, want 204", got)
-	}
-}
-
-// TestAuthJobScoping is the acceptance path for tenant isolation: tenant A
-// launches an evaluation job; tenant B cannot see its status, its result,
-// or its listing entry (404 / absent), while A and the admin can.
-func TestAuthJobScoping(t *testing.T) {
-	ts := newAuthServer(t)
-	cfg := smallSuiteConfig()
-	cfg.Sections = []string{"fig6"}
-
-	resp := do(t, http.MethodPost, ts.URL+"/v1/eval", keyAlice, cfg)
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("launch as alice: status %d, body %s", resp.StatusCode, body)
-	}
-	var acc struct {
-		Job jobs.Info `json:"job"`
-	}
-	decodeJSON(t, resp, &acc)
-	id := acc.Job.ID
-	if acc.Job.Owner != "alice" {
-		t.Fatalf("job owner = %q, want alice", acc.Job.Owner)
-	}
-
-	// Bob: status and result read as 404 whether the job is running or
-	// done; the listing omits it.
-	if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, keyBob, nil)); got != http.StatusNotFound {
-		t.Errorf("bob GET job status = %d, want 404", got)
-	}
-	if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/result", keyBob, nil)); got != http.StatusNotFound {
-		t.Errorf("bob GET job result = %d, want 404", got)
-	}
-	listResp := do(t, http.MethodGet, ts.URL+"/v1/jobs", keyBob, nil)
-	var bobList struct {
-		Jobs []jobs.Info `json:"jobs"`
-	}
-	decodeJSON(t, listResp, &bobList)
-	if len(bobList.Jobs) != 0 {
-		t.Errorf("bob sees jobs %+v, want none", bobList.Jobs)
-	}
-
-	// Alice polls her job to completion.
-	info := pollJobAs(t, ts, id, keyAlice)
-	if info.State != jobs.StateDone {
-		t.Fatalf("job finished %s: %s", info.State, info.Error)
-	}
-	// Done: still 404 for bob, 200 for alice and the admin.
-	if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/result", keyBob, nil)); got != http.StatusNotFound {
-		t.Errorf("bob GET finished result = %d, want 404", got)
-	}
-	for key, who := range map[string]string{keyAlice: "alice", keyRoot: "admin"} {
-		if got := status(t, do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/result", key, nil)); got != http.StatusOK {
-			t.Errorf("%s GET finished result = %d, want 200", who, got)
-		}
-	}
-
-	// The admin evicts the finished job: 200 with its final state; a
-	// second DELETE is 404.
-	delResp := do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+id, keyRoot, nil)
-	if delResp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(delResp.Body)
-		delResp.Body.Close()
-		t.Fatalf("admin DELETE finished job = %d (%s), want 200", delResp.StatusCode, body)
-	}
-	var evicted struct {
-		Job jobs.Info `json:"job"`
-	}
-	decodeJSON(t, delResp, &evicted)
-	if evicted.Job.State != jobs.StateDone {
-		t.Errorf("evicted job state = %s, want done", evicted.Job.State)
-	}
-	if got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+id, keyRoot, nil)); got != http.StatusNotFound {
-		t.Errorf("second DELETE = %d, want 404", got)
-	}
-}
-
-// TestAuthJobQuota pins the per-tenant concurrent-job bound: max_jobs=1
-// refuses a second launch with 429 + Retry-After while the first runs, and
-// admits it once the slot frees.
-func TestAuthJobQuota(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "keys.json")
-	keys := `{"tenants": [
-		{"name": "q", "key": "quota-tenant-key-0001", "role": "writer", "max_jobs": 1}
-	]}`
-	if err := os.WriteFile(path, []byte(keys), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	auth, err := tenant.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(t, server.Config{PoolSize: 4, EvalMaxPending: 8, StoreDir: t.TempDir(), Auth: auth}))
-	t.Cleanup(ts.Close)
-
-	cfg := smallSuiteConfig()
-	cfg.Sections = []string{"fig6"}
-	// The slot-holding job is deliberately oversized (a 100k-row population
-	// and fit before any generation) so it is still running when the second
-	// launch arrives — the small config finishes too fast to pin the quota
-	// against.
-	slow := cfg
-	slow.N = 100000
-	slow.MaxCheckPlausible = 50000
-	slow.Fig6Candidates = 2000
-	slow.Fig6Ks = []int{5, 20, 50}
-	resp := do(t, http.MethodPost, ts.URL+"/v1/eval", "quota-tenant-key-0001", slow)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first launch = %d", resp.StatusCode)
-	}
-	var acc struct {
-		Job jobs.Info `json:"job"`
-	}
-	decodeJSON(t, resp, &acc)
-
-	second := do(t, http.MethodPost, ts.URL+"/v1/eval", "quota-tenant-key-0001", cfg)
-	if second.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second launch = %d, want 429", second.StatusCode)
-	}
-	if second.Header.Get("Retry-After") == "" {
-		t.Error("quota 429 carries no Retry-After")
-	}
-	status(t, second)
-
-	if info := pollJobAs(t, ts, acc.Job.ID, "quota-tenant-key-0001"); info.State != jobs.StateDone {
-		t.Fatalf("first job finished %s: %s", info.State, info.Error)
-	}
-	third := do(t, http.MethodPost, ts.URL+"/v1/eval", "quota-tenant-key-0001", cfg)
-	if third.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-drain launch = %d, want 202", third.StatusCode)
-	}
-	var acc3 struct {
-		Job jobs.Info `json:"job"`
-	}
-	decodeJSON(t, third, &acc3)
-	if info := pollJobAs(t, ts, acc3.Job.ID, "quota-tenant-key-0001"); info.State != jobs.StateDone {
-		t.Fatalf("third job finished %s: %s", info.State, info.Error)
 	}
 }
 
@@ -656,30 +521,5 @@ func TestAuthHealthzReportsTenants(t *testing.T) {
 	decodeJSON(t, resp2, &health2)
 	if health2.Auth.Enabled {
 		t.Fatal("anonymous server reports auth enabled")
-	}
-}
-
-// TestAuthEvalUsesSuiteResult sanity-checks that an authenticated eval job
-// returns a real suite result (the scoping path did not disturb the result
-// plumbing).
-func TestAuthEvalUsesSuiteResult(t *testing.T) {
-	ts := newAuthServer(t)
-	cfg := smallSuiteConfig()
-	cfg.Sections = []string{"fig6"}
-	resp := do(t, http.MethodPost, ts.URL+"/v1/eval", keyAlice, cfg)
-	var acc struct {
-		Job jobs.Info `json:"job"`
-	}
-	decodeJSON(t, resp, &acc)
-	if info := pollJobAs(t, ts, acc.Job.ID, keyAlice); info.State != jobs.StateDone {
-		t.Fatalf("job finished %s: %s", info.State, info.Error)
-	}
-	rr := do(t, http.MethodGet, ts.URL+"/v1/jobs/"+acc.Job.ID+"/result", keyAlice, nil)
-	var got struct {
-		Result *eval.SuiteResult `json:"result"`
-	}
-	decodeJSON(t, rr, &got)
-	if got.Result == nil || got.Result.Fig6 == nil || len(got.Result.Fig6.Rates) == 0 {
-		t.Fatalf("served result missing fig6 series: %+v", got.Result)
 	}
 }

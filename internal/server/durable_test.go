@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/tenant"
@@ -22,8 +23,7 @@ import (
 
 // This file holds the durable-state acceptance tests of snapshot format
 // v2: restarting sgfd with the same -store-dir preserves (a) model
-// ownership (cross-tenant access still 404), (b) finished job results
-// (GET /v1/jobs/{id}/result identical bytes), and (c) the per-tenant
+// ownership (cross-tenant access still 404) and (b) the per-tenant
 // records-released privacy ledger — and a tenant over its lifetime (ε, δ)
 // budget gets 403 before any synthesis work is admitted.
 
@@ -66,10 +66,9 @@ func getBody(t *testing.T, url, key string) (int, string) {
 }
 
 // TestRestartPreservesDurableState is the acceptance path for the v2
-// durable-state layer, end to end: fit + synthesize + eval as alice, stop
-// the server, start a fresh one over the same directory, and verify
-// ownership isolation, the served job result bytes and the ledger counts
-// all survived.
+// durable-state layer, end to end: fit + synthesize as alice, stop the
+// server, start a fresh one over the same directory, and verify ownership
+// isolation and the ledger counts both survived.
 func TestRestartPreservesDurableState(t *testing.T) {
 	dir := t.TempDir()
 	ts1, srv1 := authStoreServer(t, dir, server.Config{})
@@ -83,45 +82,7 @@ func TestRestartPreservesDurableState(t *testing.T) {
 		t.Fatalf("synthesize status %d err %v", sresp.StatusCode, err)
 	}
 
-	// Alice runs a cheap evaluation job (pipeline only) to completion.
-	cfg := smallSuiteConfig()
-	cfg.Sections = []string{"pipeline"}
-	eresp := do(t, http.MethodPost, ts1.URL+"/v1/eval", keyAlice, cfg)
-	if eresp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(eresp.Body)
-		eresp.Body.Close()
-		t.Fatalf("eval launch status %d: %s", eresp.StatusCode, body)
-	}
-	var acc struct {
-		Job struct {
-			ID string `json:"id"`
-		} `json:"job"`
-	}
-	decodeJSON(t, eresp, &acc)
-	jobID := acc.Job.ID
-	deadline := 0
-	for {
-		st, body := getBody(t, ts1.URL+"/v1/jobs/"+jobID, keyAlice)
-		if st != http.StatusOK {
-			t.Fatalf("job status %d: %s", st, body)
-		}
-		if strings.Contains(body, `"state":"done"`) {
-			break
-		}
-		if strings.Contains(body, `"state":"failed"`) {
-			t.Fatalf("job failed: %s", body)
-		}
-		if deadline++; deadline > 2400 {
-			t.Fatal("job did not finish")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	resultStatus, result1 := getBody(t, ts1.URL+"/v1/jobs/"+jobID+"/result", keyAlice)
-	if resultStatus != http.StatusOK {
-		t.Fatalf("result status %d", resultStatus)
-	}
-
-	// Bob cannot see alice's model or job before the restart (baseline).
+	// Bob cannot see alice's model before the restart (baseline).
 	if st, _ := getBody(t, ts1.URL+"/v1/models/"+id, keyBob); st != http.StatusNotFound {
 		t.Fatalf("bob sees alice's model pre-restart: %d", st)
 	}
@@ -159,20 +120,7 @@ func TestRestartPreservesDurableState(t *testing.T) {
 		t.Fatalf("restart refitted %s models", got)
 	}
 
-	// (b) The finished job result survived, byte-identically, and stays
-	// tenant-scoped: bob 404, alice identical bytes.
-	if st, _ := getBody(t, ts2.URL+"/v1/jobs/"+jobID, keyBob); st != http.StatusNotFound {
-		t.Fatalf("bob sees alice's restored job: %d", st)
-	}
-	resultStatus2, result2 := getBody(t, ts2.URL+"/v1/jobs/"+jobID+"/result", keyAlice)
-	if resultStatus2 != http.StatusOK {
-		t.Fatalf("restored result status %d: %s", resultStatus2, result2)
-	}
-	if result2 != result1 {
-		t.Fatalf("restored job result differs:\npre:  %s\npost: %s", result1, result2)
-	}
-
-	// (c) The ledger survived: alice's 25 released records (the synthesize
+	// (b) The ledger survived: alice's 25 released records (the synthesize
 	// stream above adds 25 more in this process — the restored base is what
 	// proves durability).
 	got := scrapeMetric(t, ts2, `sgfd_tenant_privacy_budget_records_total{tenant="alice"}`)
@@ -243,65 +191,6 @@ func TestBudgetExhausted403(t *testing.T) {
 	}
 	if _, resp := synthesize(t, ts2, id, synthReq(1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restart in-budget synthesize = %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestWriterDeletesOwnJob covers the job-deletion satellite: a writer may
-// cancel/delete its own jobs, another tenant's job reads as 404, and the
-// denied probe never cancels anything.
-func TestWriterDeletesOwnJob(t *testing.T) {
-	ts, _ := authStoreServer(t, t.TempDir(), server.Config{})
-
-	cfg := smallSuiteConfig()
-	cfg.Sections = []string{"pipeline"}
-	resp := do(t, http.MethodPost, ts.URL+"/v1/eval", keyAlice, cfg)
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("eval launch status %d: %s", resp.StatusCode, body)
-	}
-	var acc struct {
-		Job struct {
-			ID string `json:"id"`
-		} `json:"job"`
-	}
-	decodeJSON(t, resp, &acc)
-	jobID := acc.Job.ID
-
-	// Bob (writer, different tenant): 404 — and the job is NOT cancelled.
-	if got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, keyBob, nil)); got != http.StatusNotFound {
-		t.Fatalf("bob DELETE alice's job = %d, want 404", got)
-	}
-	if st, body := getBody(t, ts.URL+"/v1/jobs/"+jobID, keyAlice); st != http.StatusOK || strings.Contains(body, `"state":"failed"`) {
-		t.Fatalf("denied DELETE cancelled the job: %d %s", st, body)
-	}
-
-	// Carol (reader, even of the same server): 403 by role.
-	if got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, keyCarol, nil)); got != http.StatusForbidden {
-		t.Fatalf("reader DELETE job = %d, want 403", got)
-	}
-
-	// Alice (writer, owner): allowed — 202 while active, 200 once finished.
-	dresp := do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, keyAlice, nil)
-	if got := status(t, dresp); got != http.StatusAccepted && got != http.StatusOK {
-		t.Fatalf("alice DELETE own job = %d, want 202 or 200", got)
-	}
-	// A cancelled job stays pollable (failed) until deleted again; an
-	// evicted one is already a 404. Either way a repeat delete converges to
-	// 404.
-	deadline := 0
-	for {
-		got := status(t, do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, keyAlice, nil))
-		if got == http.StatusNotFound {
-			break
-		}
-		if got != http.StatusOK && got != http.StatusAccepted {
-			t.Fatalf("repeat DELETE = %d", got)
-		}
-		if deadline++; deadline > 500 {
-			t.Fatal("job never became deletable")
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -396,46 +285,6 @@ func waitModelReady(t *testing.T, ts *httptest.Server, id, key string) {
 	}
 }
 
-// runEvalJob launches a pipeline-only evaluation as the given writer and
-// waits until it is done, returning its ID.
-func runEvalJob(t *testing.T, ts *httptest.Server, key string) string {
-	t.Helper()
-	cfg := smallSuiteConfig()
-	cfg.Sections = []string{"pipeline"}
-	resp := do(t, http.MethodPost, ts.URL+"/v1/eval", key, cfg)
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("eval launch status %d: %s", resp.StatusCode, body)
-	}
-	var acc struct {
-		Job struct {
-			ID string `json:"id"`
-		} `json:"job"`
-	}
-	decodeJSON(t, resp, &acc)
-	if info := pollJobAs(t, ts, acc.Job.ID, key); info.State != jobs.StateDone {
-		t.Fatalf("job %s ended %s: %s", acc.Job.ID, info.State, info.Error)
-	}
-	return acc.Job.ID
-}
-
-// waitJobRecord waits until the finished job's record is on disk.
-func waitJobRecord(t *testing.T, dir, id string) string {
-	t.Helper()
-	path := filepath.Join(dir, id+".job")
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			return path
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job record %s never written", path)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // stopServer stops serving, then closes the server (the flush every
 // restart test goes through).
 func stopServer(t *testing.T, ts *httptest.Server, srv *server.Server) {
@@ -495,23 +344,67 @@ func TestCoOwnershipSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestDeletedJobStaysDeleted: a finished job deleted before a restart does
-// not come back after it.
-func TestDeletedJobStaysDeleted(t *testing.T) {
+// oldJobRecord is an evaluation-job record (container kind 2) written by
+// sgfd when it still served POST /v1/eval: a pipeline-only §6 run,
+// persisted when the job finished.
+const oldJobRecord = "testdata/j-10f418854e28610e.job"
+
+// TestOldStoreWithJobRecordBoots boots over a store directory that also
+// holds an evaluation-job record from a release that served them. The
+// record is left exactly where it is, one warning names it, the job routes
+// answer 404, and the model and the ledger come back as before.
+func TestOldStoreWithJobRecordBoots(t *testing.T) {
 	dir := t.TempDir()
 	ts1, srv1 := authStoreServer(t, dir, server.Config{})
-	jobID := runEvalJob(t, ts1, keyAlice)
-	waitJobRecord(t, dir, jobID) // the delete must remove a written record
-	if got := status(t, do(t, http.MethodDelete, ts1.URL+"/v1/jobs/"+jobID, keyAlice, nil)); got != http.StatusOK {
-		t.Fatalf("DELETE finished job = %d, want 200", got)
+	id := fitAs(t, ts1, keyAlice, 11)
+	sresp := do(t, http.MethodPost, ts1.URL+"/v1/models/"+id+"/synthesize", keyAlice, baseSynthReq())
+	stream1, err := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if err != nil || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("synthesize status %d err %v", sresp.StatusCode, err)
 	}
 	stopServer(t, ts1, srv1)
 
-	ts2, _ := authStoreServer(t, dir, server.Config{})
+	job, err := os.ReadFile(oldJobRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobPath := filepath.Join(dir, filepath.Base(oldJobRecord))
+	if err := os.WriteFile(jobPath, job, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	sink := &syncWriter{}
+	ts2, _ := authStoreServer(t, dir, server.Config{Logger: obs.NewLogger(sink, true, slog.LevelInfo)})
+	var warnings []map[string]any
+	for _, line := range sink.logLines(t) {
+		if line["level"] == "WARN" {
+			warnings = append(warnings, line)
+		}
+	}
+	if len(warnings) != 1 || warnings[0]["job_records"] != 1.0 || warnings[0]["store_dir"] != dir {
+		t.Fatalf("boot warnings = %v, want one naming 1 job record in %s", warnings, dir)
+	}
+	if got := scrapeMetric(t, ts2, `sgfd_tenant_privacy_budget_records_total{tenant="alice"}`); got != "25" {
+		t.Fatalf("alice's restored ledger = %q records, want 25", got)
+	}
+	sresp2 := do(t, http.MethodPost, ts2.URL+"/v1/models/"+id+"/synthesize", keyAlice, baseSynthReq())
+	stream2, err := io.ReadAll(sresp2.Body)
+	sresp2.Body.Close()
+	if err != nil || sresp2.StatusCode != http.StatusOK || !bytes.Equal(stream2, stream1) {
+		t.Fatalf("restored model: status %d err %v, same bytes %v", sresp2.StatusCode, err, bytes.Equal(stream2, stream1))
+	}
+	jobID := strings.TrimSuffix(filepath.Base(oldJobRecord), ".job")
 	for _, path := range []string{"/v1/jobs/" + jobID, "/v1/jobs/" + jobID + "/result"} {
 		if st, body := getBody(t, ts2.URL+path, keyAlice); st != http.StatusNotFound {
-			t.Fatalf("GET %s after the restart = %d (%s), want 404", path, st, body)
+			t.Fatalf("GET %s = %d (%s), want 404", path, st, body)
 		}
+	}
+	if got, err := os.ReadFile(jobPath); err != nil || !bytes.Equal(got, job) {
+		t.Fatalf("job record moved or changed: %v", err)
+	}
+	if _, err := os.Stat(jobPath + ".corrupt"); err == nil {
+		t.Fatal("job record was quarantined")
 	}
 }
 
@@ -560,31 +453,6 @@ func TestFailedLedgerFlushRecovers(t *testing.T) {
 	ts2, _ := authStoreServer(t, dir, server.Config{})
 	if got := scrapeMetric(t, ts2, `sgfd_tenant_privacy_budget_records_total{tenant="alice"}`); got != "25" {
 		t.Fatalf("alice's restored ledger = %q records, want 25", got)
-	}
-}
-
-// TestServerCloseRestoresJobRecords: Close writes the record of every
-// retained finished job whose record is missing from disk (the second
-// chance Close gives model snapshots), so the result survives the restart
-// byte for byte.
-func TestServerCloseRestoresJobRecords(t *testing.T) {
-	dir := t.TempDir()
-	ts1, srv1 := authStoreServer(t, dir, server.Config{})
-	jobID := runEvalJob(t, ts1, keyAlice)
-	st, result1 := getBody(t, ts1.URL+"/v1/jobs/"+jobID+"/result", keyAlice)
-	if st != http.StatusOK {
-		t.Fatalf("result status %d", st)
-	}
-	// Simulate a lost record (removed behind the server's back).
-	if err := os.Remove(waitJobRecord(t, dir, jobID)); err != nil {
-		t.Fatal(err)
-	}
-	stopServer(t, ts1, srv1)
-
-	ts2, _ := authStoreServer(t, dir, server.Config{})
-	st, result2 := getBody(t, ts2.URL+"/v1/jobs/"+jobID+"/result", keyAlice)
-	if st != http.StatusOK || result2 != result1 {
-		t.Fatalf("result after the restart: status %d\npre:  %s\npost: %s", st, result1, result2)
 	}
 }
 

@@ -280,7 +280,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request, tn *tenant.Id
 	key := hex.EncodeToString(hash.Sum(nil))
 
 	if entry, ok := s.reg.Lookup(key); ok {
-		s.reg.AddOwner(entry, jobOwner(tn))
+		s.reg.AddOwner(entry, ownerOf(tn))
 		state, _ := entry.State()
 		writeJSON(w, http.StatusOK, fitResponse{
 			ID: entry.ID, State: state, Cached: true, Backend: entry.Opts.Backend, Rows: entry.Rows, Clean: entry.Clean,
@@ -324,7 +324,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request, tn *tenant.Id
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	s.reg.AddOwner(entry, jobOwner(tn))
+	s.reg.AddOwner(entry, ownerOf(tn))
 	state, _ := entry.State()
 	status := http.StatusAccepted
 	if cached {
@@ -442,7 +442,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 	// what was actually delivered into durable spend.
 	endStage = sc.start("admit")
 	budgetEps, budgetDelta := s.effectiveBudget(tn)
-	settle, aerr := s.ledger.admit(jobOwner(tn), req.K, req.Gamma, req.Eps0, req.Records*releases, budgetEps, budgetDelta)
+	settle, aerr := s.ledger.admit(ownerOf(tn), req.K, req.Gamma, req.Eps0, req.Records*releases, budgetEps, budgetDelta)
 	endStage()
 	if aerr != nil {
 		s.metrics.BudgetDenied()
@@ -617,8 +617,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 
 // handleHealthz implements GET /healthz. The store section reports the
 // loaded-model count, the snapshot footprint on disk, and the most recent
-// load/flush errors; the jobs section reports the evaluation-job queue; the
-// version ties the process to the commit that built it.
+// load/flush errors; the version ties the process to the commit that built
+// it.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	auth := map[string]any{"enabled": s.cfg.Auth != nil}
 	if s.cfg.Auth != nil {
@@ -632,7 +632,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"workers_in_use":   s.pool.InUse(),
 		"records_released": s.metrics.RecordsReleased(),
 		"store":            s.storeStatus(),
-		"jobs":             s.jobs.Stats(),
 		"auth":             auth,
 		"privacy_ledger": map[string]any{
 			// enforced reports the server-wide default only; per-tenant
@@ -652,7 +651,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WriteTo(w)
-	writeJobsMetrics(w, s.jobs.Stats())
 	if s.cfg.Auth != nil {
 		writeTenantMetrics(w, s.cfg.Auth.Snapshot())
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -218,4 +219,44 @@ func TestImportTakesNoOwnersFromUpload(t *testing.T) {
 	stopServer(t, ts1, srv1)
 	ts2, _ := authStoreServer(t, dir, server.Config{})
 	check(ts2)
+}
+
+// TestImportReportsBackend: an import answers with the backend of the
+// model it carries, as a fit does, for a fresh import (201) and for a
+// repeat of one already resident (200).
+func TestImportReportsBackend(t *testing.T) {
+	src := newTestServer(t)
+	dst := newTestServer(t)
+	for _, backendID := range []string{"bayesnet", "marginal"} {
+		body, resp := fitBackendModel(t, src, backendID)
+		var fit struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal([]byte(body), &fit); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s fit: status %d, body %s", backendID, resp.StatusCode, body)
+		}
+		awaitFit(t, src, fit.ID)
+		ex, err := http.Get(src.URL + "/v1/models/" + fit.ID + "/export")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(ex.Body)
+		ex.Body.Close()
+		if err != nil || ex.StatusCode != http.StatusOK {
+			t.Fatalf("%s export: status %d err %v", backendID, ex.StatusCode, err)
+		}
+		for _, want := range []int{http.StatusCreated, http.StatusOK} {
+			resp, err := http.Post(dst.URL+"/v1/models/import", "application/octet-stream", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var imp struct {
+				Backend string `json:"backend"`
+			}
+			decodeJSON(t, resp, &imp)
+			if resp.StatusCode != want || imp.Backend != backendID {
+				t.Errorf("%s import = %d with backend %q, want %d with %q", backendID, resp.StatusCode, imp.Backend, want, backendID)
+			}
+		}
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/tenant"
 )
@@ -178,25 +177,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// writeJobsMetrics renders the evaluation-job counters in the Prometheus
-// text exposition format. The numbers come from the jobs.Manager (its
-// counters are the source of truth); this helper only formats them.
-func writeJobsMetrics(w io.Writer, st jobs.Stats) (int64, error) {
-	var b []byte
-	add := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-	}
-	add("# TYPE sgfd_jobs_launched_total counter\nsgfd_jobs_launched_total %d\n", st.Launched)
-	add("# TYPE sgfd_jobs_done_total counter\nsgfd_jobs_done_total %d\n", st.Done)
-	add("# TYPE sgfd_jobs_failed_total counter\nsgfd_jobs_failed_total %d\n", st.Failed)
-	add("# TYPE sgfd_jobs_cancelled_total counter\nsgfd_jobs_cancelled_total %d\n", st.Cancelled)
-	add("# TYPE sgfd_jobs_running gauge\nsgfd_jobs_running %d\n", st.Running)
-	add("# TYPE sgfd_jobs_queued gauge\nsgfd_jobs_queued %d\n", st.Queued)
-	add("# TYPE sgfd_jobs_retained gauge\nsgfd_jobs_retained %d\n", st.Retained)
-	n, err := w.Write(b)
-	return int64(n), err
 }
 
 // writeTenantMetrics renders the per-tenant counters in the Prometheus text

@@ -12,9 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -22,8 +20,8 @@ import (
 // This file is the observability acceptance suite: it drives the real HTTP
 // surface and asserts the instrumentation contract end to end — request IDs
 // and traceparent ingestion, the JSON access-log schema, per-stage spans on
-// /v1/debug/traces, histogram exposition on /metrics, the live job-events
-// stream, and the trace ring's bound under churn.
+// /v1/debug/traces, histogram exposition on /metrics, and the trace ring's
+// bound under churn.
 
 // syncWriter is a concurrency-safe log sink: request goroutines all write
 // through the server's one slog handler.
@@ -294,175 +292,6 @@ func TestMetricsHistograms(t *testing.T) {
 	}
 	if v := samples[`sgfd_synthesize_stream_records_sum`]; v < 64 {
 		t.Fatalf("stream records histogram sum = %v, want >= 64", v)
-	}
-}
-
-// readJobEvents consumes a /v1/jobs/{id}/events stream to EOF, asserting
-// monotone progress and exactly one terminal event, which it returns.
-func readJobEvents(t *testing.T, resp *http.Response) (terminal jobEventView, progressEvents int) {
-	t.Helper()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events stream status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("events Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	last := -1.0
-	sawTerminal := false
-	for sc.Scan() {
-		if sawTerminal {
-			t.Fatalf("event after terminal event: %s", sc.Text())
-		}
-		var ev jobEventView
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", sc.Text(), err)
-		}
-		if ev.Progress < last {
-			t.Fatalf("progress regressed from %v to %v", last, ev.Progress)
-		}
-		last = ev.Progress
-		switch ev.Type {
-		case "progress":
-			progressEvents++
-		case "heartbeat":
-		case "done", "failed":
-			sawTerminal = true
-			terminal = ev
-		default:
-			t.Fatalf("unknown event type %q", ev.Type)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawTerminal {
-		t.Fatal("events stream ended without a terminal event")
-	}
-	return terminal, progressEvents
-}
-
-// jobEventView mirrors the documented event schema.
-type jobEventView struct {
-	Type     string     `json:"type"`
-	JobID    string     `json:"job_id"`
-	State    jobs.State `json:"state"`
-	Stage    string     `json:"stage,omitempty"`
-	Progress float64    `json:"progress"`
-	Error    string     `json:"error,omitempty"`
-	RunMS    int64      `json:"run_ms"`
-}
-
-// TestJobEventsCompletion streams a full evaluation job's progress events:
-// monotone fractions, then exactly one terminal "done" event.
-func TestJobEventsCompletion(t *testing.T) {
-	ts, _ := newObsServer(t, nil)
-	id := launchEval(t, ts, smallSuiteConfig())
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	terminal, progressEvents := readJobEvents(t, resp)
-	if terminal.Type != "done" || terminal.State != jobs.StateDone {
-		t.Fatalf("terminal event = %+v, want type done", terminal)
-	}
-	if terminal.JobID != id {
-		t.Fatalf("terminal event job_id = %q, want %q", terminal.JobID, id)
-	}
-	if progressEvents < 2 {
-		t.Fatalf("saw %d progress events, want at least launch + stage updates", progressEvents)
-	}
-
-	// A finished job's stream answers immediately with just the terminal
-	// event — the late-subscriber case.
-	resp2, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	terminal2, progress2 := readJobEvents(t, resp2)
-	if terminal2.Type != "done" || progress2 != 0 {
-		t.Fatalf("finished-job stream = (%+v, %d progress events), want immediate done", terminal2, progress2)
-	}
-}
-
-// TestJobEventsCancellation cancels a job mid-stream and asserts the watcher
-// still receives a terminal "failed" event rather than hanging. The watched
-// job is deliberately oversized (several seconds of pipeline work), so the
-// DELETE always lands while it is still queued or running — and the stream
-// terminates at cancel time, long before the job would have finished.
-func TestJobEventsCancellation(t *testing.T) {
-	ts, _ := newObsServer(t, nil)
-	slow := smallSuiteConfig()
-	slow.N = 100000
-	slow.MaxCheckPlausible = 50000
-	slow.Fig6Candidates = 2000
-	slow.Fig6Ks = []int{5, 20, 50}
-	id := launchEval(t, ts, slow)
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan jobEventView, 1)
-	go func() {
-		terminal, _ := readJobEvents(t, resp)
-		done <- terminal
-	}()
-
-	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, err := http.DefaultClient.Do(del)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr.Body.Close()
-
-	select {
-	case terminal := <-done:
-		if terminal.Type != "failed" || terminal.State != jobs.StateFailed {
-			t.Fatalf("terminal event after cancellation = %+v, want type failed", terminal)
-		}
-		if terminal.Error == "" {
-			t.Fatal("cancellation terminal event carries no error")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("events stream did not terminate after job cancellation")
-	}
-}
-
-// TestJobEventsHeartbeat pins the idle contract: a slow job with a short
-// configured heartbeat emits heartbeat events between progress updates.
-func TestJobEventsHeartbeat(t *testing.T) {
-	ts, _ := newObsServer(t, func(cfg *server.Config) {
-		cfg.EventsHeartbeat = 20 * time.Millisecond
-	})
-	id := launchEval(t, ts, smallSuiteConfig())
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	heartbeats := 0
-	for sc.Scan() {
-		var ev jobEventView
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", sc.Text(), err)
-		}
-		if ev.Type == "heartbeat" {
-			heartbeats++
-		}
-		if ev.Type == "done" || ev.Type == "failed" {
-			break
-		}
-	}
-	if heartbeats == 0 {
-		t.Fatal("no heartbeat events on a 20ms heartbeat interval")
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,4 +178,43 @@ func TestRegistryDeduplicatesConcurrentOpens(t *testing.T) {
 		t.Fatalf("registry holds %d entries, want 1", reg.Len())
 	}
 	waitReady(t, entries[0])
+}
+
+// TestRegistryCountsFitBeforeWaitersWake pins the order at the end of a
+// fit: the outcome counter moves before the entry's waiters wake, so a
+// client that waited on a fit never reads the counter before it moved.
+// The test holds r.mu across the wait, so the fit goroutine cannot get
+// past the bookkeeping that takes it.
+func TestRegistryCountsFitBeforeWaitersWake(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		backend string
+		counter func(*Metrics) *int64
+	}{
+		{"fitted", "", func(m *Metrics) *int64 { return &m.modelsFitted }},
+		{"failed", "no-such-backend", func(m *Metrics) *int64 { return &m.modelsFailed }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMetrics()
+			reg := NewRegistry(4, 0, 0, m, nil)
+			gate := make(chan struct{})
+			reg.fitHook = func() { <-gate }
+			data, clean := tinyFitData(5)
+			e, _, err := reg.Open("cccccccccccccccc01", data, sgf.FitOptions{Backend: tc.backend}, clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg.mu.Lock()
+			close(gate)
+			_, ferr := e.Wait(nil)
+			got := atomic.LoadInt64(tc.counter(m))
+			reg.mu.Unlock()
+			if (ferr != nil) != (tc.backend != "") {
+				t.Fatalf("fit error = %v", ferr)
+			}
+			if got != 1 {
+				t.Fatalf("counter read %d after the fit's waiters woke, want 1", got)
+			}
+		})
+	}
 }

@@ -670,6 +670,13 @@ func (r *Registry) fit(e *ModelEntry, data *dataset.Dataset, opts sgf.FitOptions
 		e.state = StateReady
 	}
 	e.mu.Unlock()
+	// Count before waking the waiters, so a client that waited on the fit
+	// never scrapes the counter before it moves.
+	if err != nil {
+		r.metrics.ModelFailed()
+	} else {
+		r.metrics.ModelFitted()
+	}
 	close(e.done)
 
 	r.mu.Lock()
@@ -679,12 +686,6 @@ func (r *Registry) fit(e *ModelEntry, data *dataset.Dataset, opts sgf.FitOptions
 	evicted := r.evictLocked()
 	r.mu.Unlock()
 	r.dropSnapshots(evicted)
-
-	if err != nil {
-		r.metrics.ModelFailed()
-	} else {
-		r.metrics.ModelFitted()
-	}
 }
 
 // evictLocked drops least-recently-used finished entries until the cache

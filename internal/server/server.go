@@ -14,21 +14,13 @@
 //	GET    /v1/models/{id}/export      download the model's binary snapshot
 //	POST   /v1/models/import           upload a snapshot exported elsewhere
 //	DELETE /v1/models/{id}             drop a model and its snapshot
-//	POST   /v1/eval                    launch a §6 evaluation run as an
-//	                                   async job; returns a job ID
-//	GET    /v1/jobs                    list evaluation jobs
-//	GET    /v1/jobs/{id}               job status + progress
-//	GET    /v1/jobs/{id}/result        tables/figure series of a done job
-//	GET    /v1/jobs/{id}/events        live job progress as chunked NDJSON
-//	                                   (stage, fraction, heartbeats, one
-//	                                   terminal event)
-//	DELETE /v1/jobs/{id}               cancel a running job / evict a
-//	                                   finished one (writers their own,
-//	                                   admins any)
 //	GET    /v1/debug/traces            recent request traces with per-stage
 //	                                   spans (admin role)
-//	GET    /healthz                    liveness + store/jobs/ledger status
+//	GET    /healthz                    liveness + store/ledger status
 //	GET    /metrics                    Prometheus counters + histograms
+//
+// The paper's §6 evaluation is not served: it runs on simulated data, not
+// on a tenant's model, through eval.RunSuite (cmd/experiments).
 //
 // Three pieces make the service safe under load. The model Registry is an
 // LRU cache keyed by dataset hash + fit config, so repeated uploads of the
@@ -46,26 +38,24 @@
 // at boot: fitted models (so a restarted server answers repeat fit
 // requests — and serves synthesize requests byte-identically — without
 // refitting), each model's tenant ownership set (so a restart preserves
-// tenant isolation), finished evaluation-job results (so
-// GET /v1/jobs/{id}/result survives restarts), and the per-tenant
-// records-released privacy ledger. Each is written where it changes: a
-// model's snapshot when its fit ends and again when its owner set grows
-// (Registry.AddOwner), a job's record when it finishes or leaves the job
-// manager, and the ledger behind the stream by its own flusher, so a crash
-// can drop settled charges not yet written. The ledger is what makes the
-// served (ε, δ) accounting honest across restarts: the paper's end-to-end
-// guarantee composes over every record a tenant has *ever* drawn, and with
+// tenant isolation), and the per-tenant records-released privacy ledger.
+// Each is written where it changes: a model's snapshot when its fit ends
+// and again when its owner set grows (Registry.AddOwner), and the ledger
+// behind the stream by its own flusher, so a crash can drop settled
+// charges not yet written. The ledger is what makes the served (ε, δ)
+// accounting honest across restarts: the paper's end-to-end guarantee
+// composes over every record a tenant has *ever* drawn, and with
 // Config.TenantBudgetEps set (or per-tenant key-file budgets) a tenant past
 // its lifetime budget gets 403 before any generation work is admitted.
 //
 // With Config.Auth set, the server is multi-tenant: every /v1/* request
 // must present a configured API key (401 otherwise), routes are gated by
-// the tenant's role (reader: reads + synthesize; writer: + fit/import/eval;
-// admin: + deletion, and visibility into every tenant's jobs and models;
+// the tenant's role (reader: reads + synthesize; writer: + fit/import;
+// admin: + deletion, traces, and visibility into every tenant's models;
 // 403 below the bar), requests pass the tenant's token-bucket rate limit
-// and worker/job quotas (429 + Retry-After), and jobs and models are scoped
-// to the tenants that created them — another tenant's resources read as
-// 404. /healthz and /metrics stay open; /metrics additionally exports
+// and worker quota (429 + Retry-After), and models are scoped to the
+// tenants that registered them — another tenant's models read as 404.
+// /healthz and /metrics stay open; /metrics additionally exports
 // per-tenant sgfd_tenant_* series.
 package server
 
@@ -75,12 +65,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/tenant"
@@ -102,24 +91,13 @@ type Config struct {
 	// StoreMaxBytes caps the total snapshot bytes kept in StoreDir
 	// (0 = unlimited); past it the oldest snapshots are evicted from disk.
 	StoreMaxBytes int64
-	// EvalMaxRunning bounds how many evaluation jobs execute at once
-	// (0 = 1). Queued jobs wait their turn; each running job additionally
-	// draws its generation parallelism from the shared worker pool.
-	EvalMaxRunning int
-	// EvalMaxPending bounds how many unfinished evaluation jobs may exist
-	// before new launches are rejected with 429 (0 = 8).
-	EvalMaxPending int
-	// EvalRetain bounds how many finished evaluation jobs (and their
-	// results) are kept for polling; the oldest are evicted first (0 = 16).
-	EvalRetain int
-	// EvalMaxN caps the simulated-record count a single evaluation job may
-	// request (0 = 200000) — one request may not commit the server to an
-	// unbounded pipeline build.
-	EvalMaxN int
+	// Deprecated: ignored. sgfd no longer runs evaluation jobs; these
+	// fields remain only for callers that still set them.
+	EvalMaxRunning, EvalMaxPending, EvalRetain, EvalMaxN int
 	// Auth enables multi-tenant access control: every /v1/* request must
 	// carry a configured API key, routes are gated by the tenant's role,
-	// the tenant's rate limit and quotas apply, and jobs/models are scoped
-	// to their owning tenant. /healthz and /metrics stay open. nil (the
+	// the tenant's rate limit and worker quota apply, and models are scoped
+	// to their owning tenants. /healthz and /metrics stay open. nil (the
 	// default) serves every request anonymously, exactly as before.
 	Auth *tenant.Registry
 	// TenantBudgetEps/TenantBudgetDelta set the default lifetime privacy
@@ -134,7 +112,7 @@ type Config struct {
 	TenantBudgetEps   float64
 	TenantBudgetDelta float64
 	// Logger receives the server's structured log lines (startup/warm-start
-	// notices, failed job-record and ledger writes, store error reports,
+	// notices, failed snapshot and ledger writes, store error reports,
 	// and — with AccessLog — one line per request). nil discards everything.
 	Logger *slog.Logger
 	// AccessLog enables the per-request access-log line on Logger.
@@ -142,9 +120,6 @@ type Config struct {
 	// TraceBufferSize caps the ring of recent request traces served on
 	// GET /v1/debug/traces (0 = 128).
 	TraceBufferSize int
-	// EventsHeartbeat is the idle interval between heartbeat events on a
-	// GET /v1/jobs/{id}/events stream (0 = 15s).
-	EventsHeartbeat time.Duration
 }
 
 // Server is the sgfd HTTP handler. Create it with New; the zero value is
@@ -156,17 +131,12 @@ type Server struct {
 	reg     *Registry
 	metrics *Metrics
 	store   *store.Store // nil without StoreDir
-	jobs    *jobs.Manager
 	ledger  *ledger
 	traces  *obs.TraceBuffer
-	// logLimit rate-limits repeated error lines (failed job-record and
-	// ledger writes, store lazy-load errors) per model/job/ledger key, so a
+	// logLimit rate-limits repeated error lines (failed snapshot and
+	// ledger writes, store lazy-load errors) per model or ledger key, so a
 	// flapping disk reports once per interval instead of flooding the log.
 	logLimit *obs.Limiter
-	// jobMu serializes job-record writes with deletes (see putJob);
-	// jobsClosed, set by Close, stops both.
-	jobMu      sync.Mutex
-	jobsClosed bool
 }
 
 // New returns a ready-to-serve Server. With Config.StoreDir set it opens
@@ -208,7 +178,6 @@ func New(cfg Config) (*Server, error) {
 		reg:      NewRegistry(cfg.CacheCap, 0, 0, metrics, st),
 		metrics:  metrics,
 		store:    st,
-		jobs:     jobs.NewManager(cfg.EvalMaxRunning, cfg.EvalMaxPending, cfg.EvalRetain),
 		ledger:   newLedger(),
 		traces:   obs.NewTraceBuffer(cfg.TraceBufferSize),
 		logLimit: obs.NewLimiter(0),
@@ -217,12 +186,8 @@ func New(cfg Config) (*Server, error) {
 		s.logStoreError("model store "+op, "model", id, err)
 	}
 	if st != nil {
-		// Owner sets are written by Registry.AddOwner, job records by these
-		// hooks, and the ledger by its own flusher.
-		s.jobs.SetHooks(jobs.Hooks{
-			OnFinish: func(j *jobs.Job, _ any) { s.putJob(j.ID) },
-			OnEvict:  s.deleteJob,
-		})
+		// Owner sets are written by Registry.AddOwner and the ledger by its
+		// own flusher.
 		switch led, err := st.GetLedger(); {
 		case err == nil:
 			s.ledger.restore(led)
@@ -232,47 +197,53 @@ func New(cfg Config) (*Server, error) {
 		s.ledger.persistTo(st, func(err error) {
 			s.logStoreError("privacy ledger write", "ledger", "ledger", err)
 		})
-		jobsRestored := s.restoreJobs()
-		if n := s.reg.WarmStart(); n > 0 || jobsRestored > 0 {
-			logger.Info("warm start",
-				slog.Int("models", n),
-				slog.Int("job_results", jobsRestored),
-				slog.String("store_dir", cfg.StoreDir))
+		if n := s.reg.WarmStart(); n > 0 {
+			logger.Info("warm start", slog.Int("models", n), slog.String("store_dir", cfg.StoreDir))
+		}
+		if n := countJobRecords(cfg.StoreDir); n > 0 {
+			logger.Warn("store holds evaluation-job records, which sgfd no longer serves; they are left in place",
+				slog.Int("job_records", n), slog.String("store_dir", cfg.StoreDir))
 		}
 	}
 	return s, nil
+}
+
+// countJobRecords counts the *.job files that releases serving evaluation
+// jobs left in a store directory. Nothing reads them any more; the store
+// treats them as foreign files. A directory that cannot be read counts
+// none: the warning is advisory, and store.Open has just read it.
+func countJobRecords(dir string) int {
+	entries, _ := os.ReadDir(dir)
+	n := 0
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".job") {
+			n++
+		}
+	}
+	return n
 }
 
 // Metrics exposes the server's counters (used by tests and embedders).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close flushes the durable state: the ledger's flusher stops after
-// writing any settled spend still unwritten, every retained finished job
-// without a record on disk gets one, and every ready resident model
-// without a snapshot gets one (a second chance for writes that failed or
-// files removed behind the server's back). Job records and ledger charges
-// that change after Close are not written. Call it after the HTTP server
-// has drained; it is idempotent and a no-op without a store.
+// writing any settled spend still unwritten, and every ready resident
+// model without a snapshot gets one (a second chance for writes that
+// failed or files removed behind the server's back). Ledger charges that
+// change after Close are not written. Call it after the HTTP server has
+// drained; it is idempotent and a no-op without a store.
 func (s *Server) Close() error {
 	if s.store == nil {
 		return nil
 	}
 	s.ledger.close()
-	for _, j := range s.jobs.List() {
-		if _, err := s.store.GetJob(j.ID); err != nil {
-			s.putJob(j.ID)
-		}
-	}
-	s.jobMu.Lock()
-	s.jobsClosed = true
-	s.jobMu.Unlock()
 	return s.reg.Flush()
 }
 
 // logStoreError emits one rate-limited levelled line for a failed load or
 // write of durable state, keyed per operation and record, so a flapping
-// disk reports once per interval per model, job or ledger with a
-// suppressed count.
+// disk reports once per interval per model or ledger with a suppressed
+// count.
 func (s *Server) logStoreError(what, keyName, key string, err error) {
 	allowed, suppressed := s.logLimit.Allow(what + ":" + key)
 	if !allowed {
@@ -421,7 +392,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) string {
 		return "auth"
 	}
 	if ro := obsFrom(r.Context()); ro != nil {
-		ro.tenant = jobOwner(tn)
+		ro.tenant = ownerOf(tn)
 	}
 
 	switch {
@@ -458,72 +429,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) string {
 			s.handleImport(w, r, tn)
 		}
 		return "import"
-	case path == "/v1/eval":
-		if !requireMethod(w, r, http.MethodPost) {
-			return "eval"
-		}
-		if requireRole(w, tn, tenant.RoleWriter) {
-			s.handleEvalLaunch(w, r, tn)
-		}
-		return "eval"
-	case path == "/v1/jobs":
-		if !requireMethod(w, r, http.MethodGet) {
-			return "jobs"
-		}
-		if requireRole(w, tn, tenant.RoleReader) {
-			s.handleListJobs(w, r, tn)
-		}
-		return "jobs"
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		rest := strings.TrimPrefix(path, "/v1/jobs/")
-		if id, ok := strings.CutSuffix(rest, "/events"); ok {
-			if !validJobID(id) {
-				writeError(w, http.StatusNotFound, "malformed job id %q", id)
-				return "jobevents"
-			}
-			if !requireMethod(w, r, http.MethodGet) {
-				return "jobevents"
-			}
-			if requireRole(w, tn, tenant.RoleReader) {
-				s.handleJobEvents(w, r, id, tn)
-			}
-			return "jobevents"
-		}
-		if id, ok := strings.CutSuffix(rest, "/result"); ok {
-			if !validJobID(id) {
-				writeError(w, http.StatusNotFound, "malformed job id %q", id)
-				return "jobresult"
-			}
-			if !requireMethod(w, r, http.MethodGet) {
-				return "jobresult"
-			}
-			if requireRole(w, tn, tenant.RoleReader) {
-				s.handleJobResult(w, r, id, tn)
-			}
-			return "jobresult"
-		}
-		if !validJobID(rest) {
-			writeError(w, http.StatusNotFound, "malformed job id %q", rest)
-			return "jobstatus"
-		}
-		switch r.Method {
-		case http.MethodGet:
-			if requireRole(w, tn, tenant.RoleReader) {
-				s.handleJobStatus(w, r, rest, tn)
-			}
-			return "jobstatus"
-		case http.MethodDelete:
-			// Writers may cancel/delete their *own* jobs; admins any job.
-			// The per-job ownership check lives in the handler.
-			if requireRole(w, tn, tenant.RoleWriter) {
-				s.handleJobDelete(w, r, rest, tn)
-			}
-			return "jobdelete"
-		default:
-			w.Header().Set("Allow", "GET, DELETE")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", path)
-			return "jobstatus"
-		}
 	case strings.HasPrefix(path, "/v1/models/"):
 		rest := strings.TrimPrefix(path, "/v1/models/")
 		if id, ok := strings.CutSuffix(rest, "/synthesize"); ok {
@@ -582,12 +487,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) string {
 // they reach the registry.
 func validModelID(id string) bool {
 	return id != "" && !strings.ContainsAny(id, "/\\") && strings.HasPrefix(id, "m-")
-}
-
-// validJobID rejects ids with path separators or the wrong shape before
-// they reach the job manager.
-func validJobID(id string) bool {
-	return id != "" && !strings.ContainsAny(id, "/\\") && strings.HasPrefix(id, "j-")
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {

@@ -4,89 +4,15 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// This file holds the non-model record kinds of the version-2 container:
-// finished evaluation-job results and the per-tenant records-released
-// privacy ledger. Both exist so a restart cannot silently reset state the
-// serving layer's guarantees depend on — a polled job result must stay
-// byte-identical across restarts, and the lifetime (ε, δ) accounting of
+// This file holds the per-tenant records-released privacy ledger. It is
+// durable so a restart cannot silently reset state the serving layer's
+// guarantee depends on: the lifetime (ε, δ) accounting of
 // privacy.PlanRelease is only sound if the released-record counts it
 // composes over survive the process.
-
-// JobRecord is one persisted finished evaluation job: the bookkeeping the
-// job manager needs to revive the job in its terminal state, plus the
-// result payload as canonical JSON (opaque to this package — the server
-// decides what a result is).
-type JobRecord struct {
-	// ID is the job handle ("j-" + 16 hex digits).
-	ID string
-	// Label names the workload ("eval").
-	Label string
-	// Owner names the tenant that launched the job ("" without
-	// authentication) — persisting it is what keeps job results
-	// tenant-scoped across restarts.
-	Owner string
-	// Created, Started and Finished reconstruct the job's timeline (and with
-	// it the run_ms the status endpoint reports).
-	Created  time.Time
-	Started  time.Time
-	Finished time.Time
-	// Result is the result payload, canonical JSON.
-	Result []byte
-}
-
-func (j *JobRecord) recordID() string { return j.ID }
-
-// Encode renders the record in the version-2 container format.
-func (j *JobRecord) Encode() ([]byte, error) {
-	if !ValidJobID(j.ID) {
-		return nil, fmt.Errorf("store: invalid job id %q", j.ID)
-	}
-	ww := &wire.Writer{}
-	ww.String(j.ID)
-	ww.String(j.Label)
-	ww.String(j.Owner)
-	ww.Varint(j.Created.UnixNano())
-	ww.Varint(j.Started.UnixNano())
-	ww.Varint(j.Finished.UnixNano())
-	ww.BytesField(j.Result)
-	return seal(KindJobResult, ww.Bytes()), nil
-}
-
-// DecodeJobRecord parses and validates a persisted job result.
-func DecodeJobRecord(data []byte) (*JobRecord, error) {
-	_, kind, rr, err := openContainer(data)
-	if err != nil {
-		return nil, err
-	}
-	if kind != KindJobResult {
-		return nil, fmt.Errorf("%w: kind %d, want job result (%d)", ErrBadKind, kind, KindJobResult)
-	}
-	j := &JobRecord{}
-	j.ID = rr.ReadString()
-	j.Label = rr.ReadString()
-	j.Owner = rr.ReadString()
-	j.Created = time.Unix(0, rr.Varint()).UTC()
-	j.Started = time.Unix(0, rr.Varint()).UTC()
-	j.Finished = time.Unix(0, rr.Varint()).UTC()
-	if raw := rr.BytesField(); len(raw) > 0 {
-		j.Result = append([]byte(nil), raw...) // don't alias the input buffer
-	}
-	if err := rr.Err(); err != nil {
-		return nil, fmt.Errorf("store: decoding job record: %w", err)
-	}
-	if err := rr.Done(); err != nil {
-		return nil, fmt.Errorf("store: decoding job record: %w", err)
-	}
-	if !ValidJobID(j.ID) {
-		return nil, fmt.Errorf("store: job record has invalid id %q", j.ID)
-	}
-	return j, nil
-}
 
 // LedgerEntry is one (tenant, mechanism-parameter) accounting row: how many
 // synthetic records the tenant has ever drawn through the randomized

@@ -7,59 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 )
-
-func testJobRecord(id string) *store.JobRecord {
-	return &store.JobRecord{
-		ID:       id,
-		Label:    "eval",
-		Owner:    "alice",
-		Created:  time.Unix(1700000000, 1).UTC(),
-		Started:  time.Unix(1700000001, 2).UTC(),
-		Finished: time.Unix(1700000005, 3).UTC(),
-		Result:   []byte(`{"config":{"n":12000},"elapsed_ms":41}`),
-	}
-}
-
-func TestJobRecordRoundTrip(t *testing.T) {
-	rec := testJobRecord("j-00ab00ab00ab00ab")
-	raw, err := rec.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.DecodeJobRecord(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != rec.ID || got.Label != rec.Label || got.Owner != rec.Owner ||
-		!got.Created.Equal(rec.Created) || !got.Started.Equal(rec.Started) ||
-		!got.Finished.Equal(rec.Finished) || !bytes.Equal(got.Result, rec.Result) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, rec)
-	}
-	re, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, re) {
-		t.Fatal("job record encoding is not deterministic across decode")
-	}
-
-	// Corruption is caught by the container checksum.
-	flipped := append([]byte{}, raw...)
-	flipped[len(flipped)/2] ^= 0x20
-	if _, err := store.DecodeJobRecord(flipped); !errors.Is(err, store.ErrBadChecksum) {
-		t.Fatalf("bit flip: err = %v, want ErrBadChecksum", err)
-	}
-
-	// A malformed ID is refused at encode time.
-	bad := testJobRecord("j-nothex")
-	if _, err := bad.Encode(); err == nil {
-		t.Fatal("job record with malformed id encoded")
-	}
-}
 
 func TestLedgerRoundTrip(t *testing.T) {
 	l := &store.Ledger{Entries: []store.LedgerEntry{
@@ -141,70 +91,6 @@ func TestLedgerRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(nraw, nre) {
 		t.Fatal("NaN ledger encoding is not a fixed point")
-	}
-}
-
-func TestStoreJobLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := testJobRecord("j-000000000000000a")
-	b := testJobRecord("j-000000000000000b")
-	if err := s.PutJob(a); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond) // order by mtime
-	if err := s.PutJob(b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetJob(a.ID)
-	if err != nil || got.Owner != "alice" {
-		t.Fatalf("GetJob = %+v, %v", got, err)
-	}
-
-	// A fresh Open over the same directory sees both records, oldest first.
-	s2, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids := s2.JobIDs(); len(ids) != 2 || ids[0] != a.ID || ids[1] != b.ID {
-		t.Fatalf("re-open JobIDs = %v", ids)
-	}
-	if st := s2.Stats(); st.JobRecords != 2 || st.JobBytes <= 0 {
-		t.Fatalf("re-open stats = %+v", st)
-	}
-
-	if err := s2.DeleteJob(a.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.GetJob(a.ID); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("GetJob after delete: %v, want ErrNotFound", err)
-	}
-	if err := s2.DeleteJob(a.ID); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("double DeleteJob: %v, want ErrNotFound", err)
-	}
-
-	// A corrupt job record is quarantined, not served.
-	raw, _ := b.Encode()
-	raw[len(raw)/2] ^= 0x01
-	path := filepath.Join(dir, b.ID+".job")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s3.GetJob(b.ID); !errors.Is(err, store.ErrBadChecksum) {
-		t.Fatalf("corrupt GetJob: %v, want ErrBadChecksum", err)
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Errorf("quarantine file missing: %v", err)
-	}
-	if st := s3.Stats(); st.Quarantined != 1 || st.JobRecords != 0 {
-		t.Fatalf("stats after quarantine = %+v", st)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package store persists sgfd's durable server state across process
 // restarts: a versioned binary container format holding typed records —
-// fitted-model snapshots (with their tenant ownership sets), finished
-// evaluation-job results, and the per-tenant privacy ledger — plus a
-// directory-backed Store with atomic writes, corrupt-record quarantine and
-// a byte-budget eviction policy for model snapshots.
+// fitted-model snapshots (with their tenant ownership sets) and the
+// per-tenant privacy ledger — plus a directory-backed Store with atomic
+// writes, corrupt-snapshot quarantine and a byte-budget eviction policy
+// for model snapshots.
 //
 // The §3 pipeline's expensive half is Fit; the fit-once/synthesize-many
 // split only pays off in production if a fitted model survives a restart.
@@ -12,11 +12,11 @@
 // spent (ε, δ) model budget, the registry cache key and the owning
 // tenants, so a restarted server answers repeat fit requests from disk,
 // produces byte-identical synthetic records for identical synthesize
-// requests, and keeps enforcing tenant isolation. The job and ledger
-// records exist for the same reason at the serving layer: the end-to-end
-// guarantee (Theorem 1 composed over every record ever released) is a
-// property of *lifetime* counts, so forgetting them on restart would
-// silently invalidate the served (ε, δ) accounting.
+// requests, and keeps enforcing tenant isolation. The ledger exists for
+// the same reason at the serving layer: the end-to-end guarantee
+// (Theorem 1 composed over every record ever released) is a property of
+// *lifetime* counts, so forgetting them on restart would silently
+// invalidate the served (ε, δ) accounting.
 //
 // On-disk container format (version 2):
 //
@@ -60,8 +60,10 @@ const Version = 2
 const (
 	// KindModel is a fitted-model snapshot (Snapshot).
 	KindModel uint64 = 1
-	// KindJobResult is a finished evaluation-job result (JobRecord).
-	KindJobResult uint64 = 2
+	// Kind 2 held finished evaluation-job results (*.job files), which
+	// sgfd no longer serves. It is retired and never reused; no decoder
+	// accepts it, and Open leaves such files alone.
+
 	// KindLedger is the per-tenant records-released privacy ledger (Ledger).
 	KindLedger uint64 = 3
 )
@@ -159,8 +161,6 @@ type Snapshot struct {
 	// Model is the fitted model itself.
 	Model *sgf.FittedModel
 }
-
-func (s *Snapshot) recordID() string { return s.ID }
 
 // Encode renders the snapshot in the version-2 container format. Encoding
 // is deterministic — the same snapshot always produces the same bytes
@@ -286,17 +286,7 @@ func Decode(data []byte) (*Snapshot, error) {
 // ("m-" + 16 lowercase hex digits) and is therefore safe to use as a
 // filename component.
 func ValidID(id string) bool {
-	return validHexID(id, 'm')
-}
-
-// ValidJobID reports whether id has the job-manager handle shape
-// ("j-" + 16 lowercase hex digits).
-func ValidJobID(id string) bool {
-	return validHexID(id, 'j')
-}
-
-func validHexID(id string, prefix byte) bool {
-	if len(id) != 18 || id[0] != prefix || id[1] != '-' {
+	if len(id) != 18 || id[0] != 'm' || id[1] != '-' {
 		return false
 	}
 	for _, c := range id[2:] {

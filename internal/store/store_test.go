@@ -174,9 +174,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := store.Decode(ledgerRaw); !errors.Is(err, store.ErrBadKind) {
 		t.Errorf("ledger fed to model decoder: err = %v, want ErrBadKind", err)
 	}
-	if _, err := store.DecodeJobRecord(valid); !errors.Is(err, store.ErrBadKind) {
-		t.Errorf("model fed to job decoder: err = %v, want ErrBadKind", err)
-	}
 	if _, err := store.DecodeLedger(valid); !errors.Is(err, store.ErrBadKind) {
 		t.Errorf("model fed to ledger decoder: err = %v, want ErrBadKind", err)
 	}
@@ -299,27 +296,12 @@ func TestStoreQuarantinesCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestDecodeFailureRule pins one rule for every ID-keyed record kind: a
-// container from another format version stays in place and counts as a
-// load error (the binary that wrote it can still read it), while a
-// bit-flipped container is renamed *.corrupt.
+// TestDecodeFailureRule pins the store's one decode-failure rule: a
+// snapshot container from another format version stays in place and
+// counts as a load error (the binary that wrote it can still read it),
+// while a bit-flipped container is renamed *.corrupt.
 func TestDecodeFailureRule(t *testing.T) {
 	snap := testSnapshot(t, 41)
-	job := testJobRecord("j-00000000000000c1")
-	kinds := []struct {
-		name, id, ext string
-		encode        func() ([]byte, error)
-		get           func(*store.Store) error
-	}{
-		{"snapshot", snap.ID, ".snap", snap.Encode, func(s *store.Store) error {
-			_, err := s.Get(snap.ID)
-			return err
-		}},
-		{"job", job.ID, ".job", job.Encode, func(s *store.Store) error {
-			_, err := s.GetJob(job.ID)
-			return err
-		}},
-	}
 	cases := []struct {
 		name        string
 		mutate      func(raw []byte)
@@ -333,16 +315,16 @@ func TestDecodeFailureRule(t *testing.T) {
 		}, store.ErrBadVersion, false},
 		{"bit-flip", func(raw []byte) { raw[len(raw)/2] ^= 0x04 }, store.ErrBadChecksum, true},
 	}
-	for _, k := range kinds {
+	t.Run("snapshot", func(t *testing.T) {
 		for _, tc := range cases {
-			t.Run(k.name+"/"+tc.name, func(t *testing.T) {
+			t.Run(tc.name, func(t *testing.T) {
 				dir := t.TempDir()
-				raw, err := k.encode()
+				raw, err := snap.Encode()
 				if err != nil {
 					t.Fatal(err)
 				}
 				tc.mutate(raw)
-				path := filepath.Join(dir, k.id+k.ext)
+				path := filepath.Join(dir, snap.ID+".snap")
 				if err := os.WriteFile(path, raw, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -350,7 +332,7 @@ func TestDecodeFailureRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := k.get(s); !errors.Is(err, tc.want) {
+				if _, err := s.Get(snap.ID); !errors.Is(err, tc.want) {
 					t.Fatalf("get: %v, want %v", err, tc.want)
 				}
 				onDisk, err := os.ReadFile(path)
@@ -370,6 +352,46 @@ func TestDecodeFailureRule(t *testing.T) {
 				}
 			})
 		}
+	})
+}
+
+// TestOpenLeavesJobRecordsAlone: the *.job evaluation-job records older
+// releases wrote are foreign files now. Open neither indexes nor
+// quarantines them, whatever they hold, and they stay byte-identical.
+func TestOpenLeavesJobRecordsAlone(t *testing.T) {
+	dir := t.TempDir()
+	snap := testSnapshot(t, 42)
+	raw, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		"j-00000000000000c1.job": raw[:len(raw)/2], // torn
+		"j-00000000000000c2.job": raw,              // intact, but not a snapshot file
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := s.IDs(); len(ids) != 0 {
+		t.Fatalf("IDs = %v, want none", ids)
+	}
+	if st := s.Stats(); st.Count != 0 || st.LoadErrors != 0 || st.Quarantined != 0 {
+		t.Fatalf("stats = %+v, want an empty store without errors", st)
+	}
+	for name, data := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s moved or changed: %v", name, err)
+		}
+	}
+	if matches, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(matches) != 0 {
+		t.Errorf("quarantined %v", matches)
 	}
 }
 

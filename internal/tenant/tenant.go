@@ -1,6 +1,6 @@
 // Package tenant implements sgfd's multi-tenant access control: API-key
 // authentication, per-tenant roles, and per-tenant resource limits (request
-// rate, concurrent evaluation jobs, in-flight synthesis workers).
+// rate, in-flight synthesis workers).
 //
 // The operator describes tenants in a JSON key file (see KeyFile) loaded at
 // boot and hot-reloaded on SIGHUP. Authentication is by API key; keys are
@@ -17,10 +17,12 @@
 package tenant
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -32,13 +34,12 @@ import (
 type Role string
 
 const (
-	// RoleReader may read models and jobs and run synthesize.
+	// RoleReader may read models and run synthesize.
 	RoleReader Role = "reader"
-	// RoleWriter may additionally fit/import models and launch evaluation
-	// jobs.
+	// RoleWriter may additionally fit and import models.
 	RoleWriter Role = "writer"
-	// RoleAdmin may additionally delete models/snapshots and jobs, and sees
-	// every tenant's jobs and models.
+	// RoleAdmin may additionally delete models and their snapshots, read
+	// request traces, and sees every tenant's models.
 	RoleAdmin Role = "admin"
 )
 
@@ -72,16 +73,17 @@ func (r Role) Valid() bool { return r.rank() > 0 }
 //	      "role": "writer",
 //	      "rate_per_sec": 5,
 //	      "burst": 10,
-//	      "max_jobs": 2,
 //	      "max_workers": 4
 //	    }
 //	  ]
 //	}
 //
-// rate_per_sec/burst bound the request rate (token bucket; 0 = unlimited),
-// max_jobs bounds a tenant's unfinished evaluation jobs and max_workers the
-// synthesis workers it may hold from the shared pool at once (0 = no
-// per-tenant bound beyond the pool itself).
+// rate_per_sec/burst bound the request rate (token bucket; 0 = unlimited)
+// and max_workers the synthesis workers a tenant may hold from the shared
+// pool at once (0 = no per-tenant bound beyond the pool itself). The file
+// is decoded strictly: a field this package does not know (a misspelled
+// "budget_eps", or "max_jobs" from releases that ran evaluation jobs) is
+// an error naming the field, not a silently ignored setting.
 type KeyFile struct {
 	Tenants []Config `json:"tenants"`
 }
@@ -96,11 +98,10 @@ type Config struct {
 	// ownership, counters and quotas — but clamped to the reader role:
 	// a credential safe to hand to dashboards and consumers that lets
 	// them read and synthesize against the tenant's models without being
-	// able to fit, import, launch or delete anything.
+	// able to fit, import or delete anything.
 	ReadKey    string  `json:"read_key,omitempty"`
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	Burst      int     `json:"burst,omitempty"`
-	MaxJobs    int     `json:"max_jobs,omitempty"`
 	MaxWorkers int     `json:"max_workers,omitempty"`
 	// BudgetEps/BudgetDelta override the server-wide lifetime privacy
 	// budget for this tenant: the total (ε, δ) its released synthetic
@@ -119,7 +120,7 @@ const minKeyLen = 16
 // validName constrains tenant names to characters safe everywhere a name
 // travels: Prometheus label values (whose text format only escapes \\, \"
 // and newline — a control character in a label would corrupt the whole
-// /metrics exposition), log lines, and JSON job owners.
+// /metrics exposition), log lines, and snapshot owner sets.
 func validName(name string) bool {
 	if name == "" || len(name) > 64 {
 		return false
@@ -161,8 +162,8 @@ func (c *Config) validate() error {
 		// at least one token of depth.
 		c.Burst = 1
 	}
-	if c.MaxJobs < 0 || c.MaxWorkers < 0 {
-		return fmt.Errorf("tenant %q: negative quota", c.Name)
+	if c.MaxWorkers < 0 {
+		return fmt.Errorf("tenant %q: negative max_workers", c.Name)
 	}
 	if c.BudgetEps < 0 {
 		return fmt.Errorf("tenant %q: negative budget_eps", c.Name)
@@ -182,50 +183,27 @@ func (c *Config) validate() error {
 // guarded by mu, so a SIGHUP reload cannot race in-flight request
 // handlers.
 type Tenant struct {
-	// Name identifies the tenant in listings, job ownership and metrics.
+	// Name identifies the tenant in listings, model ownership and metrics.
 	Name string
 
 	mu           sync.Mutex
 	role         Role
-	maxJobs      int
 	maxWorkers   int
 	budgetEps    float64
 	budgetDelta  float64
 	limiter      *bucket
 	workersInUse int
-	pins         int
 	requests     int64
 	throttled    int64
 }
 
-// Pin marks the tenant as referenced by long-lived work (a queued or
-// running evaluation job holds one pin for its lifetime). A pinned tenant
-// removed from the key file keeps its metrics series and its runtime
-// identity until Unpin — a queued job's future worker grants must stay
-// attributed, and a re-added name must recover the object those grants
-// will land on, not mint a second quota. Call Unpin exactly once per Pin.
-func (t *Tenant) Pin() {
-	t.mu.Lock()
-	t.pins++
-	t.mu.Unlock()
-}
-
-// Unpin releases a Pin.
-func (t *Tenant) Unpin() {
-	t.mu.Lock()
-	if t.pins > 0 {
-		t.pins--
-	}
-	t.mu.Unlock()
-}
-
-// busy reports whether the tenant holds worker grants or pins — the
-// condition under which a removed tenant must keep draining instead of
-// being dropped.
+// busy reports whether the tenant holds worker grants — the condition
+// under which a removed tenant must keep draining instead of being
+// dropped.
 func (t *Tenant) busy() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.workersInUse > 0 || t.pins > 0
+	return t.workersInUse > 0
 }
 
 // Role returns the tenant's capability level.
@@ -233,13 +211,6 @@ func (t *Tenant) Role() Role {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.role
-}
-
-// MaxJobs returns the unfinished-evaluation-job bound (0 = unbounded).
-func (t *Tenant) MaxJobs() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.maxJobs
 }
 
 // MaxWorkers returns the in-flight synthesis-worker bound (0 = unbounded).
@@ -264,8 +235,7 @@ type Stats struct {
 	Role     Role
 	Requests int64
 	// Throttled counts requests actually refused with a 429 — by the rate
-	// limiter or a quota. Internal retries (a background job politely
-	// waiting on the tenant's own worker budget) do not count.
+	// limiter or the worker quota.
 	Throttled int64
 	// WorkersInUse is the tenant's current in-flight worker grant total.
 	WorkersInUse int
@@ -291,10 +261,9 @@ func (t *Tenant) CountRequest() {
 	t.mu.Unlock()
 }
 
-// CountThrottle records a quota refusal the HTTP layer answered with 429.
-// The caller decides what counts: a synthesize request bounced off the
-// worker quota does, a background job quietly retrying the same
-// reservation does not — the counter stays an honest total of 429s.
+// CountThrottle records a quota refusal the HTTP layer answered with 429
+// (a synthesize request bounced off the worker quota), so the counter
+// stays an honest total of 429s.
 func (t *Tenant) CountThrottle() {
 	t.mu.Lock()
 	t.throttled++
@@ -492,7 +461,6 @@ func (r *Registry) Reload() error {
 		// rate changed.
 		t.mu.Lock()
 		t.role = c.Role
-		t.maxJobs = c.MaxJobs
 		t.maxWorkers = c.MaxWorkers
 		t.budgetEps = c.BudgetEps
 		t.budgetDelta = c.BudgetDelta
@@ -535,8 +503,13 @@ func (r *Registry) Reload() error {
 // parse decodes and validates the key-file bytes.
 func parse(raw []byte) ([]Config, error) {
 	var kf KeyFile
-	if err := json.Unmarshal(raw, &kf); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&kf); err != nil {
 		return nil, fmt.Errorf("tenant: parsing key file: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("tenant: parsing key file: data after the top-level object")
 	}
 	if len(kf.Tenants) == 0 {
 		return nil, fmt.Errorf("tenant: key file declares no tenants")

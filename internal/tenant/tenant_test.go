@@ -22,7 +22,7 @@ func writeKeys(t *testing.T, body string) string {
 const threeTenants = `{
   "tenants": [
     {"name": "reader-co", "key": "reader-key-0123456789", "role": "reader"},
-    {"name": "writer-co", "key": "writer-key-0123456789", "role": "writer", "max_jobs": 1, "max_workers": 2},
+    {"name": "writer-co", "key": "writer-key-0123456789", "role": "writer", "max_workers": 2},
     {"name": "admin-co",  "key": "admin-key-0123456789",  "role": "admin", "rate_per_sec": 2, "burst": 3}
   ]
 }`
@@ -40,8 +40,8 @@ func TestLoadAndAuthenticate(t *testing.T) {
 	if !ok || tn.Name != "writer-co" || tn.Role() != RoleWriter {
 		t.Fatalf("Authenticate(writer key) = %+v, %v", tn, ok)
 	}
-	if tn.MaxJobs() != 1 || tn.MaxWorkers() != 2 {
-		t.Fatalf("writer quotas = %d jobs, %d workers", tn.MaxJobs(), tn.MaxWorkers())
+	if tn.MaxWorkers() != 2 {
+		t.Fatalf("writer quota = %d workers, want 2", tn.MaxWorkers())
 	}
 	for _, bad := range []string{"", "writer-key", "writer-key-0123456789x", "WRITER-KEY-0123456789"} {
 		if _, ok := reg.Authenticate(bad); ok {
@@ -78,7 +78,7 @@ func TestLoadRejectsBadFiles(t *testing.T) {
 		"bad role":       `{"tenants": [{"name": "a", "key": "aaaaaaaaaaaaaaaa", "role": "root"}]}`,
 		"no name":        `{"tenants": [{"key": "aaaaaaaaaaaaaaaa", "role": "reader"}]}`,
 		"negative rate":  `{"tenants": [{"name": "a", "key": "aaaaaaaaaaaaaaaa", "role": "reader", "rate_per_sec": -1}]}`,
-		"negative quota": `{"tenants": [{"name": "a", "key": "aaaaaaaaaaaaaaaa", "role": "reader", "max_jobs": -1}]}`,
+		"negative quota": `{"tenants": [{"name": "a", "key": "aaaaaaaaaaaaaaaa", "role": "reader", "max_workers": -1}]}`,
 		"dup name": `{"tenants": [
 			{"name": "a", "key": "aaaaaaaaaaaaaaaa", "role": "reader"},
 			{"name": "a", "key": "bbbbbbbbbbbbbbbb", "role": "reader"}]}`,
@@ -96,6 +96,41 @@ func TestLoadRejectsBadFiles(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("Load(missing file) succeeded")
+	}
+}
+
+// TestLoadRejectsUnknownFields pins the strict key-file decoder: a field
+// the package does not know fails Load and Reload with an error naming it,
+// instead of loading a tenant without the setting (a misspelled
+// "budget_eps" would otherwise silently drop the tenant's budget), and a
+// refused Reload leaves the previous tenant set serving.
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	for _, field := range []string{"max_jobs", "budget_esp"} {
+		body := `{"tenants": [{"name": "a", "key": "aaaaaaaaaaaaaaaa", "role": "writer", "` + field + `": 2}]}`
+		_, err := Load(writeKeys(t, body))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Load with %q: err = %v, want an error naming the field", field, err)
+		}
+	}
+	if _, err := Load(writeKeys(t, threeTenants+` {}`)); err == nil {
+		t.Error("Load accepted data after the key file's object")
+	}
+
+	path := writeKeys(t, threeTenants)
+	reg, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withJobs := strings.Replace(threeTenants, `"max_workers": 2`, `"max_workers": 2, "max_jobs": 1`, 1)
+	if err := os.WriteFile(path, []byte(withJobs), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Reload(); err == nil || !strings.Contains(err.Error(), "max_jobs") {
+		t.Fatalf("Reload with max_jobs: err = %v, want an error naming the field", err)
+	}
+	tn, ok := reg.Authenticate("writer-key-0123456789")
+	if !ok || reg.Len() != 3 || tn.MaxWorkers() != 2 {
+		t.Fatal("a refused Reload changed the tenant set")
 	}
 }
 
@@ -326,21 +361,8 @@ func TestReloadKeepsDrainingTenantsInSnapshot(t *testing.T) {
 		t.Fatal("draining tenant missing from snapshot while holding grants")
 	}
 
-	// A pin (a queued job that has not reserved workers yet) keeps the
-	// tenant draining even with zero grants — its future grants must stay
-	// attributed, and a re-add must recover this object, not mint a fresh
-	// quota.
-	tn.Pin()
-	release(2)
-	found = false
-	for _, st := range reg.Snapshot() {
-		found = found || st.Name == "writer-co"
-	}
-	if !found {
-		t.Fatal("pinned draining tenant pruned from snapshot")
-	}
-
-	// Re-add writer-co while pinned: same runtime object comes back.
+	// Re-add writer-co while it still holds grants: the same runtime object
+	// comes back, so its grants do not mint a fresh quota.
 	if err := os.WriteFile(path, []byte(threeTenants), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -352,14 +374,14 @@ func TestReloadKeepsDrainingTenantsInSnapshot(t *testing.T) {
 		t.Fatal("re-added tenant did not recover its draining identity")
 	}
 
-	// Drop it again, release the pin: the next snapshot prunes the series.
+	// Drop it again, return the grants: the next snapshot prunes the series.
 	if err := os.WriteFile(path, []byte(readerOnly), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	tn.Unpin()
+	release(2)
 	for _, st := range reg.Snapshot() {
 		if st.Name == "writer-co" {
 			t.Fatal("idle draining tenant still in snapshot")
