@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/privacy"
@@ -31,8 +32,32 @@ type Mechanism struct {
 	// fitted model set it to a shared ScanTable (see sgf.FittedModel); when
 	// nil, generation builds it lazily on the first run.
 	Scan *ScanTable
+	// Lend optionally lends generation runs idle workers beyond their own.
+	// With a Lender, a run's Workers caps its parallelism: it keeps one
+	// worker of its own and, at the start of each chunk of more than one
+	// candidate batch, borrows up to Workers−1 more (never more than the
+	// chunk has batches to spare), each of which returns at its next batch
+	// boundary once Lend.Wanted reports true. With nil, a run uses exactly
+	// the workers it asked for. Either way the output is unchanged.
+	Lend Lender
 
 	scanOnce sync.Once
+}
+
+// Lender lends idle workers to generation runs (see Mechanism.Lend): a
+// serving layer whose worker pool is shared by concurrent requests lets a
+// request borrow what is idle, and recalls it as soon as another request
+// waits. Borrow is called on the run's calling goroutine; Return and
+// Wanted are called by its workers, concurrently.
+type Lender interface {
+	// Borrow takes up to n idle workers without blocking and returns how
+	// many it took, possibly none.
+	Borrow(n int) int
+	// Return gives back n borrowed workers.
+	Return(n int)
+	// Wanted reports whether someone waits for a worker: a borrowed worker
+	// that sees it claims no further batch and returns.
+	Wanted() bool
 }
 
 // ensureScan resolves the scan table once per mechanism, honoring a
@@ -77,16 +102,44 @@ func (m *Mechanism) Once(y dataset.Record, ps *Probe, r *rng.RNG) TestResult {
 	return m.onceFast(y, ps, m.ensureScan(), &pre, r)
 }
 
-// genScratch is a generation worker's reusable state: the candidate record
-// buffer and the probe, allocated once per worker instead of once per
-// candidate.
+// cacheLine is the padding, in bytes, kept around every per-worker region
+// the candidate loop writes.
+const cacheLine = 64
+
+// genScratch is a generation worker's reusable state: its RNG, the
+// candidate record buffer and the probe, allocated once per worker instead
+// of once per candidate. The loop writes all of it many times per
+// candidate, so none of it may share a cache line with another worker's
+// state: the struct and every buffer keep at least a cache line unused
+// before and after what the loop writes.
 type genScratch struct {
+	_   [cacheLine]byte
+	r   rng.RNG
 	rec dataset.Record
 	ps  Probe
+	_   [cacheLine]byte
 }
 
-func newGenScratch(numAttrs int) *genScratch {
-	return &genScratch{rec: make(dataset.Record, numAttrs)}
+// newGenScratch sizes every buffer the loop writes for records of m
+// attributes, so the probe's grow and make calls never reallocate them:
+// the tail products (m+1), their partial sums and the partition memo (at
+// most m each), and the prefix ranges (two per σ-position).
+func newGenScratch(m int) *genScratch {
+	sc := &genScratch{rec: padded[uint16](m)}
+	sc.ps.tail = padded[float64](m + 1)
+	sc.ps.cum = padded[float64](m)
+	sc.ps.match = padded[bool](m)
+	sc.ps.ranges = padded[int](2 * m)
+	return sc
+}
+
+// padded returns a slice of n zero values whose backing array keeps at
+// least a cache line unused on each side of them. Its capacity is n, so
+// appending past it reallocates instead of writing into the padding.
+func padded[T any](n int) []T {
+	var zero T
+	pad := (cacheLine + int(unsafe.Sizeof(zero)) - 1) / int(unsafe.Sizeof(zero))
+	return make([]T, pad+n+pad)[pad : pad+n : pad+n]
 }
 
 // onceFast is the kernel's per-candidate step, Once with the run's seed
@@ -253,6 +306,8 @@ type chunkProgress struct {
 	woke   int    // prefix at the last wake
 	live   int    // workers not yet exited
 	wake   chan struct{}
+	// yield is set when the chunk runs a worker on every P (see complete).
+	yield bool
 	// stop asks workers to claim no further batch (a report failed).
 	stop atomic.Bool
 }
@@ -263,10 +318,18 @@ func newChunkProgress(report func(done int) error, nb, workers int) *chunkProgre
 	if report == nil {
 		return nil
 	}
-	return &chunkProgress{done: make([]bool, nb), live: workers, wake: make(chan struct{}, 1)}
+	return &chunkProgress{
+		done: make([]bool, nb), live: workers, wake: make(chan struct{}, 1),
+		yield: workers >= runtime.GOMAXPROCS(0),
+	}
 }
 
 // complete marks batch b done and wakes the reporter if a report is due.
+// When the chunk's workers occupy every P, the woken reporter would only
+// run once the scheduler preempts one of them (~10 ms on), so a worker
+// that delivers the wake while batches remain yields its P to it. The
+// yield is kept to that case: a worker that yields tends to resume on
+// another core with cold caches, which slowed one-worker streams.
 func (p *chunkProgress) complete(b int) {
 	p.mu.Lock()
 	p.done[b] = true
@@ -277,9 +340,10 @@ func (p *chunkProgress) complete(b int) {
 	if due {
 		p.woke = p.prefix
 	}
+	more := p.prefix < len(p.done)
 	p.mu.Unlock()
-	if due {
-		p.signal()
+	if due && p.signal() && p.yield && more {
+		runtime.Gosched()
 	}
 }
 
@@ -294,12 +358,15 @@ func (p *chunkProgress) exit() {
 	}
 }
 
-// signal wakes the reporter without blocking: a wake already pending
-// covers this one, since the reporter reads the progress after it wakes.
-func (p *chunkProgress) signal() {
+// signal wakes the reporter without blocking and reports whether this call
+// delivered the wake: one already pending covers it, since the reporter
+// reads the progress after it wakes.
+func (p *chunkProgress) signal() bool {
 	select {
 	case p.wake <- struct{}{}:
+		return true
 	default:
+		return false
 	}
 }
 
@@ -337,6 +404,13 @@ func (p *chunkProgress) drain(report func(done int) error, batch, n int) error {
 // so slot contents are byte-identical whatever the worker count or batch
 // size.
 //
+// With mech.Lend set, the chunk runs one worker of its own plus what it
+// borrows at its start: up to cfg.Workers−1, and no more than the chunk
+// has batches beyond the first, so a one-batch chunk never borrows. A
+// borrowed worker polls Lend.Wanted before each claim, stops claiming once
+// it reports true, and returns its worker when it stops; the own worker
+// finishes whatever is left.
+//
 // A non-nil report is called on the calling goroutine with a count done:
 // slots [0, done) are final, and each call's done is at least the last
 // one's. The chunk is reported while its workers run, at most
@@ -353,12 +427,18 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Candidates {
-		workers = cfg.Candidates
-	}
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = defaultGenBatch
+	}
+	nb := (cfg.Candidates + batch - 1) / batch
+	own, borrowed := min(workers, cfg.Candidates), 0
+	lend := mech.Lend
+	if lend != nil {
+		own = 1
+		if extra := min(workers, nb) - own; extra > 0 {
+			borrowed = lend.Borrow(extra)
+		}
 	}
 
 	st := mech.ensureScan()
@@ -380,18 +460,18 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 	)
 	// Assigned once, so the worker closures capture prog by value: a run
 	// that does not stream allocates nothing for it.
-	prog := newChunkProgress(report, (cfg.Candidates+batch-1)/batch, workers)
+	prog := newChunkProgress(report, nb, own+borrowed)
 	done := ctx.Done()
+	m := len(mech.Seeds.Meta.Attrs)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < own+borrowed; w++ {
 		wg.Add(1)
-		go func() {
+		go func(lent bool) {
 			defer wg.Done()
 			var c genCounters
 			var arena recordArena
-			sc := newGenScratch(len(mech.Seeds.Meta.Attrs))
+			sc := newGenScratch(m)
 			seeder := rng.NewStreamSeeder(cfg.Seed)
-			r := rng.New(0) // reseeded per candidate below
 		claim:
 			for {
 				select {
@@ -400,6 +480,9 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 				default:
 				}
 				if prog != nil && prog.stop.Load() {
+					break
+				}
+				if lent && lend.Wanted() {
 					break
 				}
 				hi := int(cursor.Add(int64(batch)))
@@ -412,11 +495,11 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 				}
 				seeder.Seek(cfg.IndexOffset + uint64(lo))
 				for i := lo; i < hi; i++ {
-					seeder.Reseed(r)
+					seeder.Reseed(&sc.r)
 					// Scratch-buffer generation: only passing candidates are
 					// copied out (through the arena); the rest cost zero
 					// allocations.
-					res := mech.onceFast(sc.rec, &sc.ps, st, &pre, r)
+					res := mech.onceFast(sc.rec, &sc.ps, st, &pre, &sc.r)
 					c.cands++
 					c.checked += int64(res.Checked)
 					if res.SeedProb <= 0 {
@@ -431,6 +514,9 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 					prog.complete(lo / batch)
 				}
 			}
+			if lent {
+				lend.Return(1)
+			}
 			mu.Lock()
 			total.cands += c.cands
 			total.pass += c.pass
@@ -440,7 +526,7 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 			if prog != nil {
 				prog.exit()
 			}
-		}()
+		}(w >= own)
 	}
 	var reportErr error
 	if prog != nil {

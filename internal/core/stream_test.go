@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/rng"
 )
 
 // referenceChunkedStream is GenerateTargetStream's chunk loop spelled out
@@ -54,30 +58,84 @@ func referenceChunkedStream(mech *Mechanism, target, maxCandidates, workers int,
 	return out, total, nil
 }
 
+// seededLender lends 0–7 workers per Borrow and switches Wanted on and
+// off, both from a seeded RNG, so lending runs cover chunks that borrow
+// none, some or all they ask for, and borrowed workers recalled after any
+// batch.
+type seededLender struct {
+	mu     sync.Mutex
+	r      *rng.RNG
+	wanted bool
+	out    int // borrowed and not yet returned
+	lent   int
+}
+
+func (l *seededLender) Borrow(n int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	got := min(n, l.r.Intn(8))
+	l.out += got
+	l.lent += got
+	return got
+}
+
+func (l *seededLender) Return(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.out -= n
+}
+
+func (l *seededLender) Wanted() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.r.Intn(4) == 0 {
+		l.wanted = !l.wanted
+	}
+	return l.wanted
+}
+
 // TestStreamMatchesChunkedReference pins what GenerateTargetStream
 // delivers — the records in order and all four GenStats counts — against
 // the chunk-then-deliver reference, over every kernel shape (the capped
 // walk included, so CheckedTotal is non-zero), at targets whose first
-// chunk is one batch and many, at several worker counts, and with
-// candidate budgets that leave the run short of its target.
+// chunk is one batch and many, at several worker counts, with a lender
+// that grants and recalls workers at random, and with candidate budgets
+// that leave the run short of its target.
 func TestStreamMatchesChunkedReference(t *testing.T) {
 	const seed = 17
 	cases := []struct{ target, maxCandidates int }{
 		{1, 0}, {37, 0}, {700, 0}, {3000, 0},
 		{700, 400}, {3000, 4000},
 	}
+	inputs := []struct {
+		workers int
+		lend    bool
+	}{{1, false}, {3, false}, {8, false}, {8, true}}
+	lent := 0
 	for name, mech := range batchMechs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, c := range cases {
 				wantRows, want, wantErr := referenceChunkedStream(mech, c.target, c.maxCandidates, 1, seed)
-				for _, workers := range []int{1, 3, 8} {
-					tag := fmt.Sprintf("target=%d max=%d workers=%d", c.target, c.maxCandidates, workers)
+				for _, in := range inputs {
+					tag := fmt.Sprintf("target=%d max=%d workers=%d lend=%v", c.target, c.maxCandidates, in.workers, in.lend)
+					var lend *seededLender
+					if in.lend {
+						lend = &seededLender{r: rng.New(uint64(c.target))}
+						mech.Lend = lend
+					}
 					var rows []dataset.Record
-					stats, err := GenerateTargetStream(context.Background(), mech, c.target, c.maxCandidates, workers, seed,
+					stats, err := GenerateTargetStream(context.Background(), mech, c.target, c.maxCandidates, in.workers, seed,
 						func(batch []dataset.Record) error {
 							rows = append(rows, batch...)
 							return nil
 						})
+					mech.Lend = nil
+					if lend != nil {
+						if lend.out != 0 {
+							t.Fatalf("%s: %d borrowed workers not returned", tag, lend.out)
+						}
+						lent += lend.lent
+					}
 					if (err != nil) != (wantErr != nil) {
 						t.Fatalf("%s: error %v, reference error %v", tag, err, wantErr)
 					}
@@ -99,6 +157,104 @@ func TestStreamMatchesChunkedReference(t *testing.T) {
 				}
 			}
 		})
+	}
+	if lent == 0 {
+		t.Fatal("the lender never lent a worker")
+	}
+}
+
+// recallLender lends every worker asked for, and is wanted once its flag
+// is set.
+type recallLender struct {
+	wanted    atomic.Bool
+	out, lent atomic.Int64
+	returned  chan struct{} // closed by the first Return
+	once      sync.Once
+}
+
+func (l *recallLender) Borrow(n int) int {
+	l.out.Add(int64(n))
+	l.lent.Add(int64(n))
+	return n
+}
+
+func (l *recallLender) Return(n int) {
+	l.out.Add(-int64(n))
+	l.once.Do(func() { close(l.returned) })
+}
+
+func (l *recallLender) Wanted() bool { return l.wanted.Load() }
+
+// gateSynth counts the candidates a run draws. Once a batch's worth is
+// drawn it sets its lender wanted, and the draw that starts the chunk's
+// last batch's worth waits until a borrowed worker has returned (for at
+// most 10 s, which reads as a failure).
+type gateSynth struct {
+	Synthesizer
+	lend           *recallLender
+	drawn          atomic.Int64
+	wantAt, gateAt int64
+	late           atomic.Bool
+}
+
+func (g *gateSynth) GenerateInto(dst, seed dataset.Record, r *rng.RNG) {
+	switch g.drawn.Add(1) {
+	case g.wantAt:
+		g.lend.wanted.Store(true)
+	case g.gateAt:
+		select {
+		case <-g.lend.returned:
+		case <-time.After(10 * time.Second):
+			g.late.Store(true)
+		}
+	}
+	g.Synthesizer.GenerateInto(dst, seed, r)
+}
+
+// TestStreamLendRecall pins the recall at batch boundaries: a run borrows
+// what its cap allows, its lender turns wanted after the first batch, and
+// a borrowed worker must return before the chunk's last batch while the
+// run's own worker finishes the chunk. Every borrowed worker is returned
+// by the end of the run, and the stream is byte-identical to a run that
+// never borrowed.
+func TestStreamLendRecall(t *testing.T) {
+	base := paperMech(t)
+	const chunk = 64 * defaultGenBatch // maxCandidates = target: one chunk
+	collect := func(mech *Mechanism, workers int) ([]dataset.Record, GenStats) {
+		var rows []dataset.Record
+		stats, _ := GenerateTargetStream(context.Background(), mech, chunk, chunk, workers, 5, func(batch []dataset.Record) error {
+			rows = append(rows, batch...)
+			return nil
+		})
+		return rows, stats
+	}
+	wantRows, want := collect(base, 1)
+	for _, workers := range []int{2, 4} {
+		lend := &recallLender{returned: make(chan struct{})}
+		g := &gateSynth{Synthesizer: base.Synth, lend: lend, wantAt: defaultGenBatch, gateAt: chunk - defaultGenBatch + 1}
+		mech := &Mechanism{Synth: g, Seeds: base.Seeds, Test: base.Test, Scan: base.ensureScan(), Lend: lend}
+		rows, stats := collect(mech, workers)
+		if got := lend.lent.Load(); got != int64(workers-1) {
+			t.Fatalf("workers=%d: borrowed %d workers, want %d", workers, got, workers-1)
+		}
+		if out := lend.out.Load(); out != 0 {
+			t.Fatalf("workers=%d: %d borrowed workers not returned at the end of the run", workers, out)
+		}
+		if g.late.Load() {
+			t.Fatalf("workers=%d: no borrowed worker returned before the chunk's last batch", workers)
+		}
+		if len(rows) != len(wantRows) {
+			t.Fatalf("workers=%d: delivered %d records, %d without lending", workers, len(rows), len(wantRows))
+		}
+		for i := range rows {
+			if !rows[i].Equal(wantRows[i]) {
+				t.Fatalf("workers=%d: record %d differs from the run without lending", workers, i)
+			}
+		}
+		if stats.Candidates != want.Candidates || stats.Released != want.Released ||
+			stats.SeedRejected != want.SeedRejected || stats.CheckedTotal != want.CheckedTotal {
+			t.Fatalf("workers=%d: stats %+v, without lending %+v", workers, stats, want)
+		}
 	}
 }
 

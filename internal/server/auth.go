@@ -134,36 +134,32 @@ func ownerOf(tn *tenant.Identity) string {
 	return tn.Name
 }
 
-// acquireWorkers obtains generation workers for a request: it reserves
-// against the tenant's worker-grant quota first (when authentication is
-// on), then draws from the shared pool, and folds both releases into one.
-// The tenant reservation caps the pool ask, so a quota-bound tenant cannot
-// hold more pool tokens than its quota whatever it requested; the slice of
-// the reservation the pool did not grant is returned immediately.
+// acquireWorkers obtains the one pool token a synthesize request holds for
+// its stream: it reserves one unit of the tenant's worker-grant quota first
+// (when authentication is on), then takes the token, and folds both
+// releases into one. Workers the request borrows for its chunks count
+// against neither: any waiting request, of any tenant, recalls them within
+// a batch (see WorkerPool), so max_workers bounds how many requests a
+// tenant streams at once and one tenant still cannot drain the pool.
 //
 // It fails fast with errWorkerQuota when the tenant's quota is fully
 // committed — ahead of the pool, so a quota-bound tenant queues on its own
 // budget, never on the shared tokens.
-func (s *Server) acquireWorkers(ctx context.Context, tn *tenant.Identity, want int) (int, func(), error) {
-	// The pool's own normalization, so the tenant ledger never reserves a
-	// unit the pool cannot grant (which would read as in-use to the
-	// tenant's other requests until the pool call returned).
-	want = s.pool.ClampWant(want)
+func (s *Server) acquireWorkers(ctx context.Context, tn *tenant.Identity) (func(), error) {
 	if tn == nil {
-		return s.pool.Acquire(ctx, want)
+		return s.pool.Acquire(ctx)
 	}
-	reserved, giveBack, ok := tn.ReserveWorkers(want)
+	_, giveBack, ok := tn.ReserveWorkers(1)
 	if !ok {
-		return 0, nil, errWorkerQuota
+		return nil, errWorkerQuota
 	}
-	granted, release, err := s.pool.Acquire(ctx, reserved)
+	release, err := s.pool.Acquire(ctx)
 	if err != nil {
-		giveBack(reserved)
-		return 0, nil, err
+		giveBack(1)
+		return nil, err
 	}
-	giveBack(reserved - granted)
-	return granted, func() {
+	return func() {
 		release()
-		giveBack(granted)
+		giveBack(1)
 	}, nil
 }

@@ -130,7 +130,10 @@ type synthRequest struct {
 	MaxCandidates     int     `json:"max_candidates"`
 	MaxPlausible      int     `json:"max_plausible"`
 	MaxCheckPlausible int     `json:"max_check_plausible"`
-	Workers           int     `json:"workers"`
+	// Workers caps the generation workers the request runs at once: the
+	// one it holds plus those it borrows (0 = the pool size; 1 borrows
+	// none).
+	Workers int `json:"workers"`
 	// Releases asks for m multiply-synthetic datasets in one stream
 	// (0 = 1). Release j is generated with seed Seed+j, each passing the
 	// privacy test independently; with releases > 1 every dataset is
@@ -487,12 +490,13 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 		return
 	}
 
-	// Share the sized worker pool across concurrent requests — behind the
+	// Hold one worker of the shared pool for the stream — behind the
 	// tenant's worker-grant quota, so one tenant cannot drain the shared
-	// pool however many requests it opens. The grant size affects latency
-	// only, never the streamed bytes.
+	// pool however many requests it opens — and borrow idle ones for each
+	// chunk, up to the request's workers. How many workers run affects
+	// latency only, never the streamed bytes.
 	endStage = sc.start("acquire_workers")
-	granted, release, err := s.acquireWorkers(ctx, tn, req.Workers)
+	release, err := s.acquireWorkers(ctx, tn)
 	endStage()
 	if err != nil {
 		if errors.Is(err, errWorkerQuota) {
@@ -503,6 +507,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 		return // otherwise the client went away while queued
 	}
 	defer release()
+	lend := &requestLender{WorkerPool: s.pool}
+	mech.Lend = lend
+	workers := req.Workers
+	if workers <= 0 {
+		workers = s.pool.Size()
+	}
 
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
@@ -565,7 +575,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 			}
 		}
 		var rs sgf.GenStats
-		rs, err = sgf.GenerateTargetStream(ctx, mech, opts.Records, opts.MaxCandidates, granted, opts.Seed+uint64(j), sink)
+		rs, err = sgf.GenerateTargetStream(ctx, mech, opts.Records, opts.MaxCandidates, workers, opts.Seed+uint64(j), sink)
 		stats.Candidates += rs.Candidates
 		stats.Released += rs.Released
 		stats.SeedRejected += rs.SeedRejected
@@ -579,6 +589,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 	genSpan.SetAttr("records", fmt.Sprint(stats.Released))
 	genSpan.SetAttr("candidates", fmt.Sprint(stats.Candidates))
 	genSpan.SetAttr("releases", fmt.Sprint(releases))
+	genSpan.SetAttr("workers", fmt.Sprint(1+lend.most))
 	genSpan.End()
 	sc.parts = append(sc.parts, fmt.Sprintf("generate=%d", time.Since(genStart).Milliseconds()))
 	// The flush stage sums the time spent inside the NDJSON sink (encode +
@@ -651,6 +662,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WriteTo(w)
+	s.pool.writeMetrics(w)
 	if s.cfg.Auth != nil {
 		writeTenantMetrics(w, s.cfg.Auth.Snapshot())
 	}

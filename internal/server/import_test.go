@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/internal/store"
@@ -124,6 +125,13 @@ func TestImportConflictLeavesModelUntouched(t *testing.T) {
 				// Restart with room for one model: warm start loads bob's,
 				// the newer snapshot, and leaves alice's on disk only.
 				stopServer(t, ts1, srv1)
+				// The store orders snapshots by mtime, which comes from a
+				// coarse clock: two writes in a row can tie, and a tie goes
+				// by ID. Age alice's snapshot so bob's is the newer one.
+				aged := time.Now().Add(-time.Minute)
+				if err := os.Chtimes(filepath.Join(dir, id+".snap"), aged, aged); err != nil {
+					t.Fatal(err)
+				}
 				ts, srv1 = authStoreServer(t, dir, server.Config{CacheCap: 1})
 				if got := residency(t, ts); got[id] || !got[bobID] {
 					t.Fatalf("residency before the import = %v", got)

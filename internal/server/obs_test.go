@@ -209,13 +209,24 @@ func TestDebugTracesSynthesizeStages(t *testing.T) {
 		t.Fatalf("synthesize trace missing ids: %+v", synth)
 	}
 	spans := make(map[string]bool, len(synth.Spans))
+	workers := ""
 	for _, sp := range synth.Spans {
 		spans[sp.Name] = true
+		for _, a := range sp.Attrs {
+			if sp.Name == "generate" && a.Key == "workers" {
+				workers = a.Value
+			}
+		}
 	}
 	for _, name := range []string{"request", "admit", "acquire_workers", "generate", "stream_flush", "first_record"} {
 		if !spans[name] {
 			t.Errorf("synthesize trace missing span %q (have %v)", name, synth.Spans)
 		}
+	}
+	// On an idle pool of 8, the request's first chunk of 8 batches runs
+	// all of its "workers": 4, the one it holds and three borrowed.
+	if workers != "4" {
+		t.Errorf("generate span workers = %q, want 4", workers)
 	}
 }
 

@@ -2,53 +2,100 @@ package server
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	sgf "repro"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/rng"
 )
 
-func TestWorkerPoolElasticGrants(t *testing.T) {
+// TestWorkerPoolLending pins the work-conserving grant: Acquire takes one
+// token and blocks, honouring its context, only on an empty pool; Wanted
+// reports exactly a blocked Acquire; Borrow takes idle tokens without
+// blocking, and none while an Acquire is blocked; Return hands borrowed
+// tokens back, counting those returned to a waiting Acquire as recalled.
+func TestWorkerPoolLending(t *testing.T) {
 	p := NewWorkerPool(4)
 	ctx := context.Background()
 
-	// Unspecified parallelism defaults to half the pool.
-	got, release, err := p.Acquire(ctx, 0)
-	if err != nil || got != 2 {
-		t.Fatalf("Acquire(0) = %d, %v; want default grant of 2", got, err)
+	// While an Acquire is blocked, Borrow lends nothing, not even a token
+	// that is idle for the moment (returned before the blocked caller took
+	// it). The blocked caller is simulated, so the tokens stay idle.
+	p.waiting.Add(1)
+	if got := p.Borrow(4); got != 0 || !p.Wanted() {
+		t.Fatalf("Borrow(4) while an Acquire is blocked = %d, want 0", got)
 	}
-	release()
+	p.waiting.Add(-1)
 
-	// An explicit ask for everything is capped at size-1: one request may
-	// never monopolize the pool.
-	got, release, err = p.Acquire(ctx, 4)
-	if err != nil || got != 3 {
-		t.Fatalf("Acquire(4) = %d, %v; want monopoly cap of 3", got, err)
+	rel1, err := p.Acquire(ctx)
+	if err != nil || p.InUse() != 1 {
+		t.Fatalf("Acquire = %v with %d in use; want one token", err, p.InUse())
 	}
-	if p.InUse() != 3 {
-		t.Fatalf("InUse = %d, want 3", p.InUse())
+	// A lone holder may borrow every idle token, and no more.
+	if got := p.Borrow(8); got != 3 {
+		t.Fatalf("Borrow(8) with 3 idle tokens = %d", got)
+	}
+	if got := p.Borrow(1); got != 0 {
+		t.Fatalf("Borrow(1) on an empty pool = %d", got)
+	}
+	if p.Wanted() {
+		t.Fatal("Wanted with no Acquire blocked")
 	}
 
-	// One token left: a newcomer gets it without blocking.
-	got2, rel2, err := p.Acquire(ctx, 2)
-	if err != nil || got2 != 1 {
-		t.Fatalf("Acquire(2) with 1 free = %d, %v; want elastic grant of 1", got2, err)
-	}
-
-	// Pool exhausted: the next acquire must respect cancellation.
-	ctx2, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	// An empty pool blocks Acquire, which gives up with its context and is
+	// no longer wanted.
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
-	if _, _, err := p.Acquire(ctx2, 2); err == nil {
-		t.Fatal("Acquire on exhausted pool returned without error")
+	if _, err := p.Acquire(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Acquire on an empty pool = %v, want the context's deadline", err)
+	}
+	if p.Wanted() {
+		t.Fatal("Wanted after the blocked Acquire gave up")
 	}
 
-	release()
+	// A blocked Acquire is wanted until a returned token reaches it.
+	acquired := make(chan func(), 1)
+	go func() {
+		rel, err := p.Acquire(ctx)
+		if err != nil {
+			rel = nil
+		}
+		acquired <- rel
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !p.Wanted() {
+		if time.Now().After(deadline) {
+			t.Fatal("a blocked Acquire never reported Wanted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := p.Borrow(1); got != 0 {
+		t.Fatalf("Borrow(1) while an Acquire is blocked = %d, want 0", got)
+	}
+
+	// A borrowed token returned to a blocked Acquire counts as recalled;
+	// one returned to an idle pool does not.
+	p.Return(1)
+	rel2 := <-acquired
+	if rel2 == nil {
+		t.Fatal("the blocked Acquire failed")
+	}
+	if p.Wanted() {
+		t.Fatal("Wanted after the blocked Acquire got its token")
+	}
+	p.Return(2)
+	if b, r := p.borrowed.Load(), p.recalled.Load(); b != 3 || r != 1 {
+		t.Fatalf("borrowed %d, recalled %d; want 3 and 1", b, r)
+	}
+	rel1()
 	rel2()
 	if p.InUse() != 0 {
-		t.Fatalf("InUse after release = %d, want 0", p.InUse())
+		t.Fatalf("InUse after every release and return = %d, want 0", p.InUse())
 	}
 }
 
@@ -216,5 +263,102 @@ func TestRegistryCountsFitBeforeWaitersWake(t *testing.T) {
 				t.Fatalf("counter read %d after the fit's waiters woke, want 1", got)
 			}
 		})
+	}
+}
+
+// hookSynth draws through a fitted model's synthesizer and runs a hook
+// before a run's n-th draw, so a test can act at a known point of a chunk.
+type hookSynth struct {
+	core.Synthesizer
+	drawn atomic.Int64
+	at    map[int64]func()
+}
+
+func (h *hookSynth) GenerateInto(dst, seed dataset.Record, r *rng.RNG) {
+	if hook := h.at[h.drawn.Add(1)]; hook != nil {
+		hook()
+	}
+	h.Synthesizer.GenerateInto(dst, seed, r)
+}
+
+// TestPoolLendRecallsForNewcomer pins the newcomer bound on a pool of 2.
+// One request holds a token and lends the other for a chunk of 64
+// batches. A second request blocks in Acquire after the first batch, and
+// must get its token when the borrowed worker finishes its current batch:
+// the chunk's last batch waits for it (for at most 10 s, which reads as a
+// failure), so a token handed over only at the end of the stream fails.
+// Both lending counters move, and /metrics renders them.
+func TestPoolLendRecallsForNewcomer(t *testing.T) {
+	const batch, chunk = 256, 64 * 256
+	data, _ := tinyFitData(7)
+	fm, err := sgf.Fit(data, sgf.FitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mech, err := fm.Mechanism(sgf.SynthOptions{Records: chunk, K: 3, Gamma: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewWorkerPool(2)
+	ctx := context.Background()
+	release, err := p.Acquire(ctx) // the lending request's own token
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var newcomer func()
+	got := make(chan struct{})
+	var late atomic.Bool
+	h := &hookSynth{Synthesizer: mech.Synth}
+	h.at = map[int64]func(){
+		// After the first batch a second request arrives and blocks: both
+		// tokens are out, one held and one lent.
+		batch: func() {
+			go func() {
+				if rel, err := p.Acquire(ctx); err == nil {
+					newcomer = rel
+					close(got)
+				}
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for !p.Wanted() && time.Now().Before(deadline) {
+				select {
+				case <-got: // blocked, recalled a worker and got it
+					return
+				case <-time.After(50 * time.Microsecond):
+				}
+			}
+		},
+		chunk - batch + 1: func() {
+			select {
+			case <-got:
+			case <-time.After(10 * time.Second):
+				late.Store(true)
+			}
+		},
+	}
+	lending := &core.Mechanism{Synth: h, Seeds: mech.Seeds, Test: mech.Test, Scan: mech.Scan, Lend: p}
+	stats, _ := core.GenerateTargetStream(ctx, lending, chunk, chunk, 2, 1, func([]dataset.Record) error { return nil })
+	release()
+	if late.Load() {
+		t.Fatal("the blocked request got no token before the lending chunk's last batch")
+	}
+	if stats.Candidates != chunk {
+		t.Fatalf("the lending run drew %d candidates, want one chunk of %d", stats.Candidates, chunk)
+	}
+	<-got
+	newcomer()
+	if b, r := p.borrowed.Load(), p.recalled.Load(); b != 1 || r != 1 {
+		t.Fatalf("borrowed %d, recalled %d; want 1 and 1", b, r)
+	}
+	var out strings.Builder
+	p.writeMetrics(&out)
+	for _, line := range []string{"sgfd_workers_borrowed_total 1\n", "sgfd_workers_recalled_total 1\n"} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("/metrics lending lines %q lack %q", out.String(), line)
+		}
+	}
+	if p.InUse() != 0 {
+		t.Fatalf("InUse after both requests = %d, want 0", p.InUse())
 	}
 }

@@ -551,3 +551,97 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("metrics missing per-handler request counter for synthesize")
 	}
 }
+
+// heldWriter holds a response's first write until release is closed, as
+// a client that stopped reading would, and closes holding when it starts
+// to hold.
+type heldWriter struct {
+	http.ResponseWriter
+	holding, release chan struct{}
+	once             sync.Once
+}
+
+func (w *heldWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.holding)
+		<-w.release
+	})
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *heldWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestSynthesizeLendsIdleWorkers pins lending over HTTP on a pool of 2. A
+// request of many candidate batches that does not name workers borrows the
+// idle token; while its stream is held mid-way, holding its own token, a
+// second request still completes. Both streams equal the same requests
+// sent with "workers": 1, which never borrows.
+func TestSynthesizeLendsIdleWorkers(t *testing.T) {
+	srv := newServer(t, server.Config{PoolSize: 2, CacheCap: 4, StoreDir: t.TempDir()})
+	held := &heldWriter{holding: make(chan struct{}), release: make(chan struct{})}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-Test-Hold") != "" {
+			held.ResponseWriter = w
+			w = held
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	id := fitTestModel(t, ts)
+	url := ts.URL + "/v1/models/" + id + "/synthesize"
+	long := map[string]any{"records": 3000, "k": 3, "gamma": 8, "seed": 42} // 12 batches in its first chunk
+	short := map[string]any{"records": 25, "k": 3, "gamma": 8, "seed": 43}
+	one := func(req map[string]any) map[string]any {
+		out := map[string]any{"workers": 1}
+		for k, v := range req {
+			out[k] = v
+		}
+		return out
+	}
+	wantLong, _ := synthesize(t, ts, id, one(long))
+	wantShort, _ := synthesize(t, ts, id, one(short))
+	if got := scrapeMetric(t, ts, "sgfd_workers_borrowed_total"); got != "0" {
+		t.Fatalf(`sgfd_workers_borrowed_total = %q after "workers": 1 requests, want 0`, got)
+	}
+
+	longBody := make(chan string, 1)
+	go func() {
+		raw, _ := json.Marshal(long)
+		req, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
+		req.Header.Set("X-Test-Hold", "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			longBody <- err.Error()
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		longBody <- string(body)
+	}()
+	<-held.holding
+	gotShort, resp := synthesize(t, ts, id, short)
+	if resp.StatusCode != http.StatusOK || gotShort != wantShort {
+		t.Fatalf("second request: status %d, stream equal to its workers=1 stream: %v", resp.StatusCode, gotShort == wantShort)
+	}
+	if got := scrapeMetric(t, ts, "sgfd_synthesize_in_flight"); got != "1" {
+		t.Fatalf("sgfd_synthesize_in_flight = %q after the second request, want 1 (the held stream)", got)
+	}
+	if got := scrapeMetric(t, ts, "sgfd_workers_borrowed_total"); got == "0" || got == "" {
+		t.Fatalf("sgfd_workers_borrowed_total = %q, want the held request's loans", got)
+	}
+	close(held.release)
+	if got := <-longBody; got != wantLong {
+		t.Fatalf("the lending request streamed %d bytes unequal to its workers=1 stream (%d bytes)", len(got), len(wantLong))
+	}
+	var hz struct {
+		InUse int `json:"workers_in_use"`
+	}
+	r, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeJSON(t, r, &hz)
+	if hz.InUse != 0 {
+		t.Fatalf("workers_in_use = %d after both streams, want 0", hz.InUse)
+	}
+}

@@ -120,9 +120,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(id string) string { return filepath.Join(s.dir, id+snapExt) }
 
 func (s *Store) ledgerPath() string { return filepath.Join(s.dir, ledgerName) }
