@@ -84,7 +84,7 @@ func BenchmarkAblationRandomizedTest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, stats, err := core.Generate(mech, core.GenConfig{Candidates: 400, Seed: seed})
+		_, stats, err := core.GenerateCtx(context.Background(), mech, core.GenConfig{Candidates: 400, Seed: seed})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -146,7 +146,7 @@ func synthesize(t testing.TB, fx fixture, model backend.Model, workers int) *dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := core.GenerateTarget(mech, 15, 200*15, workers, 42)
+	out, _, err := core.GenerateTargetCtx(context.Background(), mech, 15, 200*15, workers, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

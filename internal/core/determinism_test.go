@@ -22,7 +22,7 @@ func sortedKeys(d *dataset.Dataset) []string {
 
 // TestGenerateTargetWorkerCountInvariance guards the RNG-stream-splitting
 // contract: candidate i draws from rng.NewStream(seed, i) regardless of
-// which worker runs it, so for a fixed seed GenerateTarget must produce
+// which worker runs it, so for a fixed seed GenerateTargetCtx must produce
 // byte-identical output for Workers=1 and Workers=8 — sorted AND in
 // sequence order.
 func TestGenerateTargetWorkerCountInvariance(t *testing.T) {
@@ -37,11 +37,11 @@ func TestGenerateTargetWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out1, stats1, err := GenerateTarget(mech, 40, 0, 1, 99)
+	out1, stats1, err := GenerateTargetCtx(context.Background(), mech, 40, 0, 1, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out8, stats8, err := GenerateTarget(mech, 40, 0, 8, 99)
+	out8, stats8, err := GenerateTargetCtx(context.Background(), mech, 40, 0, 8, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +84,15 @@ func TestGenerateIndexOffsetContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, fullStats, err := Generate(mech, GenConfig{Candidates: 60, Workers: 3, Seed: 5})
+	full, fullStats, err := GenerateCtx(context.Background(), mech, GenConfig{Candidates: 60, Workers: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, headStats, err := Generate(mech, GenConfig{Candidates: 30, Workers: 2, Seed: 5})
+	head, headStats, err := GenerateCtx(context.Background(), mech, GenConfig{Candidates: 30, Workers: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, tailStats, err := Generate(mech, GenConfig{Candidates: 30, Workers: 4, Seed: 5, IndexOffset: 30})
+	tail, tailStats, err := GenerateCtx(context.Background(), mech, GenConfig{Candidates: 30, Workers: 4, Seed: 5, IndexOffset: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,12 @@ type Mechanism struct {
 	Scan *ScanTable
 	// Lend optionally lends generation runs idle workers beyond their own.
 	// With a Lender, a run's Workers caps its parallelism: it keeps one
-	// worker of its own and, at the start of each chunk of more than one
-	// candidate batch, borrows up to Workers−1 more (never more than the
-	// chunk has batches to spare), each of which returns at its next batch
-	// boundary once Lend.Wanted reports true. With nil, a run uses exactly
-	// the workers it asked for. Either way the output is unchanged.
+	// worker of its own and, once that worker has claimed the first batch
+	// of a chunk of more than one candidate batch, borrows up to Workers−1
+	// more (never more than the chunk has batches to spare), each of which
+	// returns at its next batch boundary once Lend.Wanted reports true.
+	// With nil, a run uses the workers it asked for, up to one per batch.
+	// Either way the output is unchanged.
 	Lend Lender
 
 	scanOnce sync.Once
@@ -48,7 +49,7 @@ type Mechanism struct {
 // serving layer whose worker pool is shared by concurrent requests lets a
 // request borrow what is idle, and recalls it as soon as another request
 // waits. Borrow is called on the run's calling goroutine; Return and
-// Wanted are called by its workers, concurrently.
+// Wanted are called by its borrowed workers, concurrently.
 type Lender interface {
 	// Borrow takes up to n idle workers without blocking and returns how
 	// many it took, possibly none.
@@ -211,8 +212,9 @@ type GenStats struct {
 	// SinkElapsed sums the time spent inside the caller's sink
 	// (GenerateTargetStream only): delivery/flush time as opposed to
 	// generation time, so a serving layer can report the two stages apart.
-	// The sink runs while the workers keep generating, so it overlaps
-	// Elapsed's generation time instead of being a slice of it.
+	// The sink runs on the calling goroutine's worker between its batches,
+	// so it is a slice of Elapsed on that worker and overlaps only the
+	// batches the run's other workers generate meanwhile.
 	SinkElapsed time.Duration
 }
 
@@ -254,12 +256,6 @@ type GenConfig struct {
 // vanish from profiles, small enough to balance workers on short runs.
 const defaultGenBatch = 256
 
-// Generate runs Mechanism 1 cfg.Candidates times and returns the released
-// synthetic records. See GenerateCtx for the determinism contract.
-func Generate(mech *Mechanism, cfg GenConfig) (*dataset.Dataset, GenStats, error) {
-	return GenerateCtx(context.Background(), mech, cfg)
-}
-
 // GenerateCtx runs Mechanism 1 cfg.Candidates times and returns the released
 // synthetic records, stopping early when ctx is cancelled (the partial
 // output, the stats so far, and ctx's error are returned in that case).
@@ -293,101 +289,34 @@ type genCounters struct {
 }
 
 // chunkProgress is the completed batch prefix of a reported chunk, shared
-// by its workers and the goroutine that reports the prefix (see
-// generateSlots). Workers wake the reporter only when a report is due:
-// after the first batch of the prefix, whenever the prefix has at least
-// doubled since the last wake, and when the last worker exits. So a chunk
-// of nb batches wakes it at most ⌊log₂ nb⌋ + 2 times, and no worker ever
-// waits for it.
+// by its workers. The worker on the calling goroutine reads it between its
+// own batches to decide whether a report is due (see generateSlots).
 type chunkProgress struct {
 	mu     sync.Mutex
 	done   []bool // done[b]: every candidate of batch b is in its slot
 	prefix int    // leading batches done
-	woke   int    // prefix at the last wake
-	live   int    // workers not yet exited
-	wake   chan struct{}
-	// yield is set when the chunk runs a worker on every P (see complete).
-	yield bool
 	// stop asks workers to claim no further batch (a report failed).
 	stop atomic.Bool
 }
 
-// newChunkProgress returns the shared progress of a chunk of nb batches
-// run by the given workers, or nil when there is no report.
-func newChunkProgress(report func(done int) error, nb, workers int) *chunkProgress {
+// newChunkProgress returns the shared progress of a chunk of nb batches,
+// or nil when there is no report.
+func newChunkProgress(report func(done int) error, nb int) *chunkProgress {
 	if report == nil {
 		return nil
 	}
-	return &chunkProgress{
-		done: make([]bool, nb), live: workers, wake: make(chan struct{}, 1),
-		yield: workers >= runtime.GOMAXPROCS(0),
-	}
+	return &chunkProgress{done: make([]bool, nb)}
 }
 
-// complete marks batch b done and wakes the reporter if a report is due.
-// When the chunk's workers occupy every P, the woken reporter would only
-// run once the scheduler preempts one of them (~10 ms on), so a worker
-// that delivers the wake while batches remain yields its P to it. The
-// yield is kept to that case: a worker that yields tends to resume on
-// another core with cold caches, which slowed one-worker streams.
-func (p *chunkProgress) complete(b int) {
+// complete marks batch b done and returns the completed prefix.
+func (p *chunkProgress) complete(b int) int {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done[b] = true
 	for p.prefix < len(p.done) && p.done[p.prefix] {
 		p.prefix++
 	}
-	due := p.prefix > 0 && p.prefix >= 2*p.woke
-	if due {
-		p.woke = p.prefix
-	}
-	more := p.prefix < len(p.done)
-	p.mu.Unlock()
-	if due && p.signal() && p.yield && more {
-		runtime.Gosched()
-	}
-}
-
-// exit records a worker's exit and wakes the reporter after the last one.
-func (p *chunkProgress) exit() {
-	p.mu.Lock()
-	p.live--
-	last := p.live == 0
-	p.mu.Unlock()
-	if last {
-		p.signal()
-	}
-}
-
-// signal wakes the reporter without blocking and reports whether this call
-// delivered the wake: one already pending covers it, since the reporter
-// reads the progress after it wakes.
-func (p *chunkProgress) signal() bool {
-	select {
-	case p.wake <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// drain reports the completed candidate prefix (batches × batch, capped at
-// n) once per wake, until the last worker has exited and its prefix is
-// reported. At the first report error it stops further claims and returns
-// the error; the caller still waits for the workers.
-func (p *chunkProgress) drain(report func(done int) error, batch, n int) error {
-	for {
-		<-p.wake
-		p.mu.Lock()
-		prefix, finished := p.prefix, p.live == 0
-		p.mu.Unlock()
-		if err := report(min(prefix*batch, n)); err != nil {
-			p.stop.Store(true)
-			return err
-		}
-		if finished {
-			return nil
-		}
-	}
+	return p.prefix
 }
 
 // generateSlots runs the candidate loop of GenerateCtx into caller-owned
@@ -404,20 +333,26 @@ func (p *chunkProgress) drain(report func(done int) error, batch, n int) error {
 // so slot contents are byte-identical whatever the worker count or batch
 // size.
 //
-// With mech.Lend set, the chunk runs one worker of its own plus what it
-// borrows at its start: up to cfg.Workers−1, and no more than the chunk
+// The calling goroutine runs the first worker. It claims batch 0 before
+// any other worker starts, so a one-worker run starts no goroutine, and a
+// run starts no more workers than the chunk has batches. With mech.Lend
+// set, the chunk runs that one worker of its own plus what it borrows
+// once batch 0 is claimed: up to cfg.Workers−1, and no more than the chunk
 // has batches beyond the first, so a one-batch chunk never borrows. A
 // borrowed worker polls Lend.Wanted before each claim, stops claiming once
-// it reports true, and returns its worker when it stops; the own worker
-// finishes whatever is left.
+// it reports true, and returns its worker when it stops; the calling
+// goroutine's worker finishes whatever is left.
 //
-// A non-nil report is called on the calling goroutine with a count done:
-// slots [0, done) are final, and each call's done is at least the last
-// one's. The chunk is reported while its workers run, at most
-// ⌊log₂ nb⌋ + 2 times for nb batches (see chunkProgress). Every claimed
-// batch completes, so the last report covers every candidate drawn,
-// cancelled or not. A report error stops further claims and is returned,
-// joined after ctx's error if both occur.
+// A non-nil report is called by the calling goroutine's worker between its
+// own batches, with a count done: slots [0, done) are final, and each
+// call's done is at least the last one's. It reports the completed prefix
+// of batches after its first batch and then whenever the prefix has at
+// least doubled; after its last claim it waits for the other workers and
+// reports the final prefix. So a chunk of nb batches is reported at most
+// ⌊log₂ nb⌋ + 2 times, and no worker ever waits for a report. Every
+// claimed batch completes, so the last report covers every candidate
+// drawn, cancelled or not. A report error stops further claims and is
+// returned, joined after ctx's error if both occur.
 func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []dataset.Record, report func(done int) error) (GenStats, error) {
 	start := time.Now()
 	if cfg.Candidates == 0 {
@@ -432,13 +367,10 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 		batch = defaultGenBatch
 	}
 	nb := (cfg.Candidates + batch - 1) / batch
-	own, borrowed := min(workers, cfg.Candidates), 0
+	own := min(workers, nb)
 	lend := mech.Lend
 	if lend != nil {
 		own = 1
-		if extra := min(workers, nb) - own; extra > 0 {
-			borrowed = lend.Borrow(extra)
-		}
 	}
 
 	st := mech.ensureScan()
@@ -457,82 +389,102 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 		total  genCounters
 		mu     sync.Mutex
 		cursor atomic.Int64
+		wg     sync.WaitGroup
 	)
 	// Assigned once, so the worker closures capture prog by value: a run
 	// that does not stream allocates nothing for it.
-	prog := newChunkProgress(report, nb, own+borrowed)
+	prog := newChunkProgress(report, nb)
 	done := ctx.Done()
 	m := len(mech.Seeds.Meta.Attrs)
-	var wg sync.WaitGroup
-	for w := 0; w < own+borrowed; w++ {
-		wg.Add(1)
-		go func(lent bool) {
-			defer wg.Done()
-			var c genCounters
-			var arena recordArena
-			sc := newGenScratch(m)
-			seeder := rng.NewStreamSeeder(cfg.Seed)
-		claim:
-			for {
-				select {
-				case <-done:
-					break claim
-				default:
+	// work runs one worker until the chunk has no batch left, ctx is
+	// cancelled, a report fails or, for a borrowed worker, the lender wants
+	// it back. The calling goroutine's worker (caller) starts the others
+	// once it holds batch 0, and reports between its batches.
+	var work func(lent, caller bool) error
+	work = func(lent, caller bool) (reportErr error) {
+		var c genCounters
+		var arena recordArena
+		sc := newGenScratch(m)
+		seeder := rng.NewStreamSeeder(cfg.Seed)
+		reported := 0 // the prefix of the caller's last report
+	claim:
+		for {
+			select {
+			case <-done:
+				break claim
+			default:
+			}
+			if prog != nil && prog.stop.Load() {
+				break
+			}
+			if lent && lend.Wanted() {
+				break
+			}
+			hi := int(cursor.Add(int64(batch)))
+			lo := hi - batch
+			if lo >= cfg.Candidates {
+				break
+			}
+			if caller && lo == 0 {
+				borrowed := 0
+				if extra := min(workers, nb) - own; lend != nil && extra > 0 {
+					borrowed = lend.Borrow(extra)
 				}
-				if prog != nil && prog.stop.Load() {
-					break
-				}
-				if lent && lend.Wanted() {
-					break
-				}
-				hi := int(cursor.Add(int64(batch)))
-				lo := hi - batch
-				if lo >= cfg.Candidates {
-					break
-				}
-				if hi > cfg.Candidates {
-					hi = cfg.Candidates
-				}
-				seeder.Seek(cfg.IndexOffset + uint64(lo))
-				for i := lo; i < hi; i++ {
-					seeder.Reseed(&sc.r)
-					// Scratch-buffer generation: only passing candidates are
-					// copied out (through the arena); the rest cost zero
-					// allocations.
-					res := mech.onceFast(sc.rec, &sc.ps, st, &pre, &sc.r)
-					c.cands++
-					c.checked += int64(res.Checked)
-					if res.SeedProb <= 0 {
-						c.rejected++
-					}
-					if res.Pass {
-						slots[i] = arena.clone(sc.rec)
-						c.pass++
-					}
-				}
-				if prog != nil {
-					prog.complete(lo / batch)
+				for w := 1; w < own+borrowed; w++ {
+					wg.Add(1)
+					go func(lent bool) {
+						defer wg.Done()
+						work(lent, false)
+					}(w >= own)
 				}
 			}
-			if lent {
-				lend.Return(1)
+			if hi > cfg.Candidates {
+				hi = cfg.Candidates
 			}
-			mu.Lock()
-			total.cands += c.cands
-			total.pass += c.pass
-			total.checked += c.checked
-			total.rejected += c.rejected
-			mu.Unlock()
-			if prog != nil {
-				prog.exit()
+			seeder.Seek(cfg.IndexOffset + uint64(lo))
+			for i := lo; i < hi; i++ {
+				seeder.Reseed(&sc.r)
+				// Scratch-buffer generation: only passing candidates are
+				// copied out (through the arena); the rest cost zero
+				// allocations.
+				res := mech.onceFast(sc.rec, &sc.ps, st, &pre, &sc.r)
+				c.cands++
+				c.checked += int64(res.Checked)
+				if res.SeedProb <= 0 {
+					c.rejected++
+				}
+				if res.Pass {
+					slots[i] = arena.clone(sc.rec)
+					c.pass++
+				}
 			}
-		}(w >= own)
+			if prog == nil {
+				continue
+			}
+			if prefix := prog.complete(lo / batch); caller && prefix >= 2*reported {
+				reported = prefix
+				if reportErr = report(min(prefix*batch, cfg.Candidates)); reportErr != nil {
+					prog.stop.Store(true)
+					break
+				}
+			}
+		}
+		if lent {
+			lend.Return(1)
+		}
+		mu.Lock()
+		total.cands += c.cands
+		total.pass += c.pass
+		total.checked += c.checked
+		total.rejected += c.rejected
+		mu.Unlock()
+		return reportErr
 	}
-	var reportErr error
-	if prog != nil {
-		reportErr = prog.drain(report, batch, cfg.Candidates)
-	}
+	reportErr := work(false, true)
 	wg.Wait()
+	if prog != nil && reportErr == nil {
+		reportErr = report(min(prog.prefix*batch, cfg.Candidates))
+	}
 
 	stats := GenStats{
 		Candidates:   int(total.cands),
@@ -550,18 +502,12 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 	return stats, reportErr
 }
 
-// GenerateTarget keeps drawing candidates until `target` records have been
-// released or maxCandidates candidates have been drawn (0 = 100×target).
-// It is the convenient entry point when a synthetic dataset of a given size
-// is wanted and the pass rate is unknown.
-func GenerateTarget(mech *Mechanism, target, maxCandidates int, workers int, seed uint64) (*dataset.Dataset, GenStats, error) {
-	return GenerateTargetCtx(context.Background(), mech, target, maxCandidates, workers, seed)
-}
-
-// GenerateTargetCtx is GenerateTarget with cancellation: an aborted caller
-// (e.g. a closed HTTP request) stops workers at the next candidate
-// boundary, and what was released so far is returned together with ctx's
-// error.
+// GenerateTargetCtx keeps drawing candidates until `target` records have
+// been released or maxCandidates candidates have been drawn (0 =
+// 100×target). It is the convenient entry point when a synthetic dataset of
+// a given size is wanted and the pass rate is unknown. An aborted caller
+// (e.g. a closed HTTP request) stops workers at the next batch boundary,
+// and what was released so far is returned together with ctx's error.
 func GenerateTargetCtx(ctx context.Context, mech *Mechanism, target, maxCandidates int, workers int, seed uint64) (*dataset.Dataset, GenStats, error) {
 	out := dataset.New(mech.Seeds.Meta)
 	stats, err := GenerateTargetStream(ctx, mech, target, maxCandidates, workers, seed, func(batch []dataset.Record) error {
@@ -579,15 +525,16 @@ func GenerateTargetCtx(ctx context.Context, mech *Mechanism, target, maxCandidat
 // synthetics as they pass.
 //
 // Candidates are drawn in chunks, each sized from the previous chunk's pass
-// rate, and every chunk runs to completion. A chunk is delivered while its
-// workers run: each newly completed prefix of its candidate batches
+// rate, and every chunk runs to completion. A chunk is delivered while it
+// runs: each newly completed prefix of its candidate batches
 // (GenConfig.BatchSize) is handed to sink, the first after one batch and
 // then whenever the completed prefix has at least doubled, so a chunk of
 // nb batches makes at most ⌊log₂ nb⌋ + 2 sink calls. sink runs on the
-// caller's goroutine and no worker waits for it, so sink time overlaps
-// generation. The batch slice is reused between calls — sinks
-// must not retain it past the call (the records themselves are theirs to
-// keep).
+// caller's goroutine, which is the chunk's first worker: it delivers
+// between its own batches, so a delivery waits at most for one of them,
+// and no other worker waits for sink. The batch slice is reused between
+// calls — sinks must not retain it past the call (the records themselves
+// are theirs to keep).
 //
 // Records arrive in candidate order, and the chunk schedule depends only
 // on the released/candidate counts, which — by the GenerateCtx determinism

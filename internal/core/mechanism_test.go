@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -38,7 +39,7 @@ func TestGenerateCountsAndSoundness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Generate(mech, GenConfig{Candidates: 300, Workers: 4, Seed: 1})
+	out, stats, err := GenerateCtx(context.Background(), mech, GenConfig{Candidates: 300, Workers: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestGenerateDeterministicForFixedSeedAndWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []string {
-		out, _, err := Generate(mech, GenConfig{Candidates: 200, Workers: 3, Seed: 7})
+		out, _, err := GenerateCtx(context.Background(), mech, GenConfig{Candidates: 200, Workers: 3, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestGenerateTargetReachesTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := GenerateTarget(mech, 50, 0, 2, 3)
+	out, stats, err := GenerateTargetCtx(context.Background(), mech, 50, 0, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestGenerateTargetFailsWhenImpossible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = GenerateTarget(mech, 10, 100, 2, 4)
+	_, _, err = GenerateTargetCtx(context.Background(), mech, 10, 100, 2, 4)
 	if err == nil {
 		t.Fatal("impossible target succeeded")
 	}
@@ -144,7 +145,7 @@ func TestMarginalMechanismAlwaysPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := Generate(mech, GenConfig{Candidates: 100, Workers: 2, Seed: 5})
+	_, stats, err := GenerateCtx(context.Background(), mech, GenConfig{Candidates: 100, Workers: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -415,7 +415,7 @@ func TestStreamDeliversBeforeChunkEnds(t *testing.T) {
 	}
 }
 
-// TestStreamSinkCallsBounded pins the wake rule's bound: one chunk of nb
+// TestStreamSinkCallsBounded pins the report rule's bound: one chunk of nb
 // candidate batches makes at most ⌊log₂ nb⌋ + 2 sink calls, however the
 // workers are scheduled.
 func TestStreamSinkCallsBounded(t *testing.T) {
@@ -436,6 +436,77 @@ func TestStreamSinkCallsBounded(t *testing.T) {
 			if calls < 1 || calls > bound {
 				t.Fatalf("workers=%d seed=%d: %d sink calls for %d batches, want 1..%d", workers, seed, calls, nb, bound)
 			}
+		}
+	}
+}
+
+// drawSynth counts the candidates a run draws, and how many draws are in
+// progress.
+type drawSynth struct {
+	Synthesizer
+	drawn, drawing atomic.Int64
+}
+
+func (d *drawSynth) GenerateInto(dst, seed dataset.Record, r *rng.RNG) {
+	d.drawing.Add(1)
+	d.Synthesizer.GenerateInto(dst, seed, r)
+	d.drawn.Add(1)
+	d.drawing.Add(-1)
+}
+
+// TestStreamCallerReportsBetweenBatches pins who delivers a one-worker
+// run: its only worker is the calling goroutine, which reports between its
+// own batches. So the first sink call comes after exactly one batch of
+// draws, and no candidate is drawn while the sink runs, however long it
+// takes.
+func TestStreamCallerReportsBetweenBatches(t *testing.T) {
+	base := paperMech(t)
+	const chunk = 16 * defaultGenBatch // maxCandidates = target: one chunk
+	for seed := uint64(1); seed <= 5; seed++ {
+		d := &drawSynth{Synthesizer: base.Synth}
+		mech := &Mechanism{Synth: d, Seeds: base.Seeds, Test: base.Test, Scan: base.ensureScan()}
+		calls := 0
+		GenerateTargetStream(context.Background(), mech, chunk, chunk, 1, seed, func(batch []dataset.Record) error {
+			calls++
+			at := d.drawn.Load()
+			if calls == 1 && at != defaultGenBatch {
+				t.Errorf("seed %d: first sink call after %d draws, want %d", seed, at, defaultGenBatch)
+			}
+			time.Sleep(time.Millisecond) // a worker beside the sink would draw meanwhile
+			if n, now := d.drawing.Load(), d.drawn.Load(); n != 0 || now != at {
+				t.Errorf("seed %d: sink call %d overlapped draws (%d → %d drawn, %d in progress)", seed, calls, at, now, n)
+			}
+			return nil
+		})
+		if calls == 0 {
+			t.Fatalf("seed %d: sink never called", seed)
+		}
+	}
+}
+
+// TestStreamLendCancelledBeforeFirstClaim pins a lending run whose ctx is
+// cancelled before its first claim: it draws nothing, never calls the
+// sink, and holds no borrowed worker when it returns.
+func TestStreamLendCancelledBeforeFirstClaim(t *testing.T) {
+	base := paperMech(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{2, 4} {
+		d := &drawSynth{Synthesizer: base.Synth}
+		lend := &recallLender{returned: make(chan struct{})}
+		mech := &Mechanism{Synth: d, Seeds: base.Seeds, Test: base.Test, Scan: base.ensureScan(), Lend: lend}
+		stats, err := GenerateTargetStream(ctx, mech, 64*defaultGenBatch, 0, workers, 5, func([]dataset.Record) error {
+			t.Errorf("workers=%d: sink called", workers)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: stream error = %v, want context.Canceled", workers, err)
+		}
+		if stats.Candidates != 0 || d.drawn.Load() != 0 {
+			t.Fatalf("workers=%d: drew %d candidates (%d counted), want none", workers, d.drawn.Load(), stats.Candidates)
+		}
+		if out := lend.out.Load(); out != 0 {
+			t.Fatalf("workers=%d: %d borrowed workers not returned", workers, out)
 		}
 	}
 }

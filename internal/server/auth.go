@@ -149,17 +149,17 @@ func (s *Server) acquireWorkers(ctx context.Context, tn *tenant.Identity) (func(
 	if tn == nil {
 		return s.pool.Acquire(ctx)
 	}
-	_, giveBack, ok := tn.ReserveWorkers(1)
+	giveBack, ok := tn.ReserveWorker()
 	if !ok {
 		return nil, errWorkerQuota
 	}
 	release, err := s.pool.Acquire(ctx)
 	if err != nil {
-		giveBack(1)
+		giveBack()
 		return nil, err
 	}
 	return func() {
 		release()
-		giveBack(1)
+		giveBack()
 	}, nil
 }

@@ -368,7 +368,7 @@ func TestAuthWorkerQuota(t *testing.T) {
 	if !ok {
 		t.Fatal("tenant missing")
 	}
-	_, release, ok := tn.ReserveWorkers(1)
+	release, ok := tn.ReserveWorker()
 	if !ok {
 		t.Fatal("initial reservation refused")
 	}
@@ -387,7 +387,7 @@ func TestAuthWorkerQuota(t *testing.T) {
 		t.Errorf("Throttled after worker-quota 429 = %d, want 1", st.Throttled)
 	}
 
-	release(1)
+	release()
 	ok200 := do(t, http.MethodPost, ts.URL+"/v1/models/"+fit.ID+"/synthesize", key, baseSynthReq())
 	if ok200.StatusCode != http.StatusOK {
 		t.Fatalf("synthesize after release = %d, want 200", ok200.StatusCode)

@@ -594,8 +594,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 	sc.parts = append(sc.parts, fmt.Sprintf("generate=%d", time.Since(genStart).Milliseconds()))
 	// The flush stage sums the time spent inside the NDJSON sink (encode +
 	// write + flush), measured by the generator around each call. Sink calls
-	// run while the workers keep generating, so it overlaps generate rather
-	// than being a slice of it.
+	// run on the request's own worker between its batches, so they are a
+	// slice of generate that overlaps only the borrowed workers' batches.
 	sc.add("stream_flush", genStart, stats.SinkElapsed)
 	// Time to first record: from the start of generate to the first sink
 	// call, absent when no record was delivered.

@@ -25,9 +25,9 @@ import (
 // independent — so lending costs or saves latency only, never
 // reproducibility.
 //
-// Tokens count generation workers only. A streaming request's own handler
-// goroutine encodes and writes its records while its workers run, so a
-// request can use one core beyond its tokens for that delivery.
+// A streaming request's handler goroutine is the worker its held token
+// pays for: it generates, and encodes and writes its records between its
+// own batches, so the tokens bound generation and delivery together.
 type WorkerPool struct {
 	tokens  chan struct{}
 	waiting atomic.Int32 // Acquire callers blocked on an empty pool

@@ -287,42 +287,23 @@ func (t *Tenant) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	return ok, retryAfter
 }
 
-// ReserveWorkers reserves up to want in-flight worker units against the
-// tenant's MaxWorkers quota, returning how many were reserved and a release
-// function (call with the number of units to return; a reservation may be
-// partially returned early when the shared pool grants fewer than
-// reserved). It refuses — ok=false — only when the tenant has no headroom
-// at all, so a request can always proceed with at least one worker if the
-// quota is not fully committed. Refusals are not counted as throttles here;
-// a caller that turns one into a 429 records it with CountThrottle.
-func (t *Tenant) ReserveWorkers(want int) (reserved int, release func(n int), ok bool) {
-	if want < 1 {
-		want = 1
-	}
+// ReserveWorker reserves one in-flight worker unit against the tenant's
+// MaxWorkers quota and returns the function that gives it back, which must
+// be called exactly once. It refuses — ok=false — when the quota is fully
+// committed. Refusals are not counted as throttles here; a caller that
+// turns one into a 429 records it with CountThrottle.
+func (t *Tenant) ReserveWorker() (release func(), ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.maxWorkers > 0 {
-		headroom := t.maxWorkers - t.workersInUse
-		if headroom <= 0 {
-			return 0, nil, false
-		}
-		if want > headroom {
-			want = headroom
-		}
+	if t.maxWorkers > 0 && t.workersInUse >= t.maxWorkers {
+		return nil, false
 	}
-	t.workersInUse += want
-	release = func(n int) {
-		if n <= 0 {
-			return
-		}
+	t.workersInUse++
+	return func() {
 		t.mu.Lock()
-		t.workersInUse -= n
-		if t.workersInUse < 0 { // release misuse; never go negative
-			t.workersInUse = 0
-		}
+		t.workersInUse--
 		t.mu.Unlock()
-	}
-	return want, release, true
+	}, true
 }
 
 // bucket is a token-bucket rate limiter: capacity `burst`, refilled at

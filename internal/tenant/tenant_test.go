@@ -208,6 +208,25 @@ func TestRateLimiter(t *testing.T) {
 	}
 }
 
+// reserve takes n worker units from tn one at a time, failing the test on
+// a refusal, and returns the function that gives all of them back.
+func reserve(t *testing.T, tn *Tenant, n int) (releaseAll func()) {
+	t.Helper()
+	var releases []func()
+	for i := 0; i < n; i++ {
+		release, ok := tn.ReserveWorker()
+		if !ok {
+			t.Fatalf("reservation %d of %d refused", i+1, n)
+		}
+		releases = append(releases, release)
+	}
+	return func() {
+		for _, release := range releases {
+			release()
+		}
+	}
+}
+
 func TestReserveWorkers(t *testing.T) {
 	reg, err := Load(writeKeys(t, threeTenants))
 	if err != nil {
@@ -215,17 +234,20 @@ func TestReserveWorkers(t *testing.T) {
 	}
 	tn, _ := reg.Authenticate("writer-key-0123456789") // max_workers=2
 
-	got, release, ok := tn.ReserveWorkers(8)
-	if !ok || got != 2 {
-		t.Fatalf("ReserveWorkers(8) = %d, %v; want 2 under quota", got, ok)
+	first, ok := tn.ReserveWorker()
+	if !ok {
+		t.Fatal("first reservation refused under quota")
+	}
+	second, ok := tn.ReserveWorker()
+	if !ok {
+		t.Fatal("second reservation refused under quota")
 	}
 	if st := tn.Stats(); st.WorkersInUse != 2 {
 		t.Fatalf("WorkersInUse = %d, want 2", st.WorkersInUse)
 	}
 	// Quota fully committed: further reservations refuse. The refusal is
-	// not a throttle by itself — only the HTTP layer's 429 counts one (a
-	// background job retrying the reservation must not inflate the metric).
-	if _, _, ok := tn.ReserveWorkers(1); ok {
+	// not a throttle by itself — only the HTTP layer's 429 counts one.
+	if _, ok := tn.ReserveWorker(); ok {
 		t.Fatal("reservation beyond quota succeeded")
 	}
 	if st := tn.Stats(); st.Throttled != 0 {
@@ -235,24 +257,27 @@ func TestReserveWorkers(t *testing.T) {
 	if st := tn.Stats(); st.Throttled != 1 {
 		t.Fatalf("Throttled after CountThrottle = %d, want 1", st.Throttled)
 	}
-	// Partial early return (pool granted less than reserved) frees quota.
-	release(1)
-	if got2, release2, ok := tn.ReserveWorkers(5); !ok || got2 != 1 {
-		t.Fatalf("post-release reservation = %d, %v; want 1", got2, ok)
+	// A released unit frees quota for the next reservation.
+	first()
+	if again, ok := tn.ReserveWorker(); !ok {
+		t.Fatal("reservation after a release refused")
 	} else {
-		release2(got2)
+		again()
 	}
-	release(1)
+	second()
 	if st := tn.Stats(); st.WorkersInUse != 0 {
 		t.Fatalf("WorkersInUse after full release = %d, want 0", st.WorkersInUse)
 	}
 
-	// Unbounded tenants get exactly what they ask for.
+	// Unbounded tenants never refuse.
 	free, _ := reg.Authenticate("reader-key-0123456789")
-	if got, release, ok := free.ReserveWorkers(64); !ok || got != 64 {
-		t.Fatalf("unbounded reservation = %d, %v", got, ok)
-	} else {
-		release(got)
+	releaseAll := reserve(t, free.Tenant, 64)
+	if st := free.Stats(); st.WorkersInUse != 64 {
+		t.Fatalf("unbounded tenant reports %d workers in use, want 64", st.WorkersInUse)
+	}
+	releaseAll()
+	if st := free.Stats(); st.WorkersInUse != 0 {
+		t.Fatalf("unbounded tenant reports %d workers in use after release, want 0", st.WorkersInUse)
 	}
 }
 
@@ -265,8 +290,8 @@ func TestReloadPreservesRuntimeState(t *testing.T) {
 	tn, _ := reg.Authenticate("writer-key-0123456789")
 	tn.CountRequest()
 	tn.CountRequest()
-	_, release, _ := tn.ReserveWorkers(1)
-	defer release(1)
+	release := reserve(t, tn.Tenant, 1)
+	defer release()
 
 	// Rotate writer-co's key, drop reader-co, add a new tenant.
 	rotated := `{
@@ -330,10 +355,7 @@ func TestReloadKeepsDrainingTenantsInSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn, _ := reg.Authenticate("writer-key-0123456789")
-	n, release, ok := tn.ReserveWorkers(2)
-	if !ok || n != 2 {
-		t.Fatalf("reservation = %d, %v", n, ok)
-	}
+	release := reserve(t, tn.Tenant, 2)
 
 	// Remove writer-co while it holds both units.
 	readerOnly := `{"tenants": [
@@ -381,7 +403,7 @@ func TestReloadKeepsDrainingTenantsInSnapshot(t *testing.T) {
 	if err := reg.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	release(2)
+	release()
 	for _, st := range reg.Snapshot() {
 		if st.Name == "writer-co" {
 			t.Fatal("idle draining tenant still in snapshot")
@@ -393,7 +415,7 @@ func TestReloadKeepsDrainingTenantsInSnapshot(t *testing.T) {
 }
 
 // TestReloadRaceWithTraffic exercises a SIGHUP reload concurrent with the
-// reads request handlers perform (Role, Allow, ReserveWorkers, Stats,
+// reads request handlers perform (Role, Allow, ReserveWorker, Stats,
 // Authenticate). Run under -race this pins that reload mutates tenant
 // configuration only behind the tenant lock.
 func TestReloadRaceWithTraffic(t *testing.T) {
@@ -417,8 +439,8 @@ func TestReloadRaceWithTraffic(t *testing.T) {
 			}
 			_ = tn.Role()
 			_, _ = tn.Allow(now)
-			if n, release, ok := tn.ReserveWorkers(1); ok {
-				release(n)
+			if release, ok := tn.ReserveWorker(); ok {
+				release()
 			}
 			_ = tn.Stats()
 			_, _ = reg.Authenticate("writer-key-0123456789")
@@ -476,14 +498,17 @@ func TestReadKey(t *testing.T) {
 	}
 	// Shared runtime state: a reservation through one key is visible (and
 	// counted) through the other.
-	n, release, ok := writer.ReserveWorkers(2)
-	if !ok || n != 2 {
-		t.Fatalf("reservation = %d, %v", n, ok)
-	}
+	release := reserve(t, writer.Tenant, 2)
 	if st := reader.Stats(); st.WorkersInUse != 2 {
 		t.Fatalf("read key sees %d workers in use, want 2", st.WorkersInUse)
 	}
-	release(n)
+	// Both keys draw on the one max_workers=3 quota.
+	third := reserve(t, reader.Tenant, 1)
+	if _, ok := writer.ReserveWorker(); ok {
+		t.Fatal("a fourth unit reserved past the shared quota of 3")
+	}
+	third()
+	release()
 
 	// A short or duplicate read_key is rejected at load time.
 	if _, err := Load(writeKeys(t, `{"tenants": [

@@ -365,8 +365,9 @@ func (fm *FittedModel) Synthesize(ctx context.Context, opts SynthOptions) (*Data
 // candidate batches, the first after one batch and then whenever the
 // prefix has doubled, so a chunk of nb batches makes at most
 // ⌊log₂ nb⌋ + 2 sink calls (see core.GenerateTargetStream). sink runs on
-// the caller's goroutine beside the workers, so its time overlaps
-// generation.
+// the caller's goroutine, which is the run's first worker and calls it
+// between its own batches; only the run's other workers generate while
+// sink runs.
 func (fm *FittedModel) SynthesizeStream(ctx context.Context, opts SynthOptions, sink func(batch []Record) error) (GenStats, error) {
 	mech, err := fm.Mechanism(opts)
 	if err != nil {
@@ -454,7 +455,7 @@ func NewMechanism(syn Synthesizer, seeds *Dataset, test TestConfig) (*Mechanism,
 
 // Generate re-exports the parallel generation pipeline.
 func Generate(mech *Mechanism, candidates, workers int, seed uint64) (*Dataset, GenStats, error) {
-	return core.Generate(mech, core.GenConfig{Candidates: candidates, Workers: workers, Seed: seed})
+	return core.GenerateCtx(context.Background(), mech, core.GenConfig{Candidates: candidates, Workers: workers, Seed: seed})
 }
 
 // GenerateTargetStream re-exports cancellable, incrementally delivered
